@@ -20,12 +20,14 @@ int main() {
               ranks);
 
   core::Config config;
-  config.num_ranks = ranks;
+  config.num_shards = ranks;
+  config.shard_exchange = shard::Exchange::Reduce;
+  config.shard_pipeline_tiles = 1;  // one alltoallv per apply
   config.iterations = 1;  // one CG iteration = fwd + bwd + step projection
   const core::Reconstructor recon(data.geometry, config);
   (void)recon.reconstruct(data.sinogram);
-  const auto* op = recon.dist_op();
-  const auto& matrix = op->traffic_matrix();
+  const auto* op = recon.shard_op();
+  const auto& matrix = op->comm().traffic_matrix();
 
   // Communication matrix (forward-direction element counts, KiB).
   std::printf("\n== Fig 7(c): communication matrix (KiB sent p->q) ==\n    ");

@@ -13,9 +13,9 @@
 
 #include "bench_util.hpp"
 #include "dist/dist_compxct.hpp"
-#include "dist/dist_operator.hpp"
 #include "io/table.hpp"
 #include "perf/network_model.hpp"
+#include "shard/sharded_operator.hpp"
 
 int main() {
   using namespace memxct;
@@ -39,10 +39,14 @@ int main() {
                 "Trace allreduce (model)"});
   std::vector<double> log_p, log_c;
   const double mn = static_cast<double>(a.num_rows);
+  shard::ShardedOperator::Options opt;  // the paper's reduce exchange
+  opt.kernel = shard::LocalKernel::BaselineCsr;
+  opt.pipeline_tiles = 1;
+  opt.machine = theta;
+  opt.exchange = shard::Exchange::Reduce;
   for (const int p : {1, 4, 16, 64}) {
-    const auto sino_part = dist::partition_by_tiles(sino, p);
-    const auto tomo_part = dist::partition_by_tiles(tomo, p);
-    const dist::DistOperator op(a, sino_part, tomo_part, theta);
+    const shard::ShardedOperator op(a, dist::partition_by_tiles(sino, p),
+                                    dist::partition_by_tiles(tomo, p), opt);
 
     AlignedVector<real> x(static_cast<std::size_t>(a.num_cols), 1.0f);
     AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
@@ -50,7 +54,7 @@ int main() {
 
     std::int64_t max_mem = 0, memxct_bytes = 0;
     for (int r = 0; r < p; ++r) {
-      max_mem = std::max(max_mem, op.rank_memory_bytes(r));
+      max_mem = std::max(max_mem, op.rank_bytes(r));
       memxct_bytes =
           std::max(memxct_bytes, op.rank_comm_stats(r).bytes_sent);
     }

@@ -62,18 +62,20 @@ int main() {
 
     // Execute the working-scale distributed solve for real comm volumes.
     core::Config config;
-    config.num_ranks = devices;
-    config.force_distributed = true;
+    config.num_shards = devices;
+    config.shard_exchange = shard::Exchange::Reduce;
+    config.shard_pipeline_tiles = 1;  // one alltoallv per apply
     config.machine = row.machine;
     config.iterations = 1;
     const core::Reconstructor recon(data.geometry, config);
     (void)recon.reconstruct(data.sinogram);
+    const auto* op = recon.shard_op();
     std::int64_t measured_bytes = 0, measured_msgs = 0;
     for (int r = 0; r < devices; ++r) {
-      measured_bytes = std::max(
-          measured_bytes, recon.dist_op()->rank_comm_stats(r).bytes_sent);
-      measured_msgs = std::max(
-          measured_msgs, recon.dist_op()->rank_comm_stats(r).messages_sent);
+      measured_bytes =
+          std::max(measured_bytes, op->rank_comm_stats(r).bytes_sent);
+      measured_msgs =
+          std::max(measured_msgs, op->rank_comm_stats(r).messages_sent);
     }
 
     // Paper-scale per-device kernel model.
@@ -91,7 +93,7 @@ int main() {
     perf::CommStats stats;
     stats.bytes_sent = static_cast<std::int64_t>(
         static_cast<double>(measured_bytes) * comm_scale /
-        recon.dist_op()->kernel_times().applies);
+        op->stats().applies);
     stats.bytes_received = stats.bytes_sent;
     stats.messages_sent = measured_msgs;
     stats.messages_received = measured_msgs;

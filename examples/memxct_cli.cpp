@@ -26,10 +26,14 @@
 //   --precision fp32|bf16|fp16 operator value storage      (default fp32;
 //                              bf16/fp16 also varint-compress the indices,
 //                              buffered/baseline kernels only)
-//   --ranks P                  simulated distributed ranks (default 1)
 //   --shards P                 shard the operator across P simulated ranks
-//                              behind the serving stack (bitwise identical
-//                              to P=1; fp32 buffered/baseline only)
+//                              behind the serving stack (fp32
+//                              buffered/baseline only)
+//   --exchange duplicate|reduce   sharded forward exchange: duplicate moves
+//                              tomogram copies (bitwise identical to P=1);
+//                              reduce moves the paper's partial sums over
+//                              tile-snapped partitions, also at --shards 1
+//                              (default duplicate)
 //   --shard-groups G           group size for the hierarchical two-level
 //                              shard exchange (default 1 = flat)
 //   --shard-tiles T            pipeline tiles per sharded apply (default 0
@@ -101,7 +105,8 @@ using namespace memxct;
                "morton] [--kernel buffered|baseline|ell|library] "
                "[--schedule static|dynamic] [--partsize N] [--buffsize N] "
                "[--precision fp32|bf16|fp16] [--autotune off|cached|force] "
-               "[--autotune-json FILE] [--ranks P] [--shards P] "
+               "[--autotune-json FILE] [--shards P] "
+               "[--exchange duplicate|reduce] "
                "[--shard-groups G] [--shard-tiles T] "
                "[--noise I0] [--ingest passthrough|reject|sanitize] "
                "[--cache DIR] [--checkpoint FILE] [--checkpoint-interval K] "
@@ -174,7 +179,6 @@ int run(int argc, char** argv) {
     else if (arg == "--subsets") config.num_subsets = std::atoi(next());
     else if (arg == "--stream-chunk") config.stream_chunk = std::atoi(next());
     else if (arg == "--lambda") config.tikhonov_lambda = std::atof(next());
-    else if (arg == "--ranks") config.num_ranks = std::atoi(next());
     else if (arg == "--shards") config.num_shards = std::atoi(next());
     else if (arg == "--shard-groups")
       config.shard_group_size = std::atoi(next());
@@ -249,6 +253,11 @@ int run(int argc, char** argv) {
       else usage(argv[0]);
     } else if (arg == "--autotune-json") {
       autotune_json = next();
+    } else if (arg == "--exchange") {
+      const std::string v = next();
+      if (v == "duplicate") config.shard_exchange = shard::Exchange::Duplicate;
+      else if (v == "reduce") config.shard_exchange = shard::Exchange::Reduce;
+      else usage(argv[0]);
     } else {
       usage(argv[0]);
     }
@@ -364,8 +373,12 @@ int run(int argc, char** argv) {
     std::int64_t max_rank = 0;
     for (int p = 0; p < sop->num_shards(); ++p)
       max_rank = std::max(max_rank, sop->rank_bytes(p));
-    std::printf("sharded: %d shards, %d pipeline tiles, max per-rank %s\n",
-                sop->num_shards(), sop->pipeline_tiles(),
+    std::printf("sharded: %d shards, %s exchange, %d pipeline tiles, max "
+                "per-rank %s\n",
+                sop->num_shards(),
+                sop->exchange() == shard::Exchange::Reduce ? "reduce"
+                                                           : "duplicate",
+                sop->pipeline_tiles(),
                 io::TablePrinter::bytes(static_cast<double>(max_rank))
                     .c_str());
   }

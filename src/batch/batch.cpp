@@ -84,13 +84,6 @@ BatchReconstructor::BatchReconstructor(const core::Reconstructor& recon,
                  : 2 * std::max(1, options.workers)) {
   if (options_.workers < 1)
     throw InvalidArgument("batch: workers must be >= 1");
-  const core::MemXCTOperator* serial = recon_.serial_op();
-  const shard::ShardedOperator* sharded = recon_.shard_op();
-  if (serial == nullptr && sharded == nullptr)
-    throw InvalidArgument(
-        "batch: BatchReconstructor requires a viewable operator (the serial "
-        "path or the sharded path; the distributed simmpi operator has no "
-        "per-worker views)");
   if (options_.block_width < 1 ||
       options_.block_width > sparse::kMaxBlockWidth)
     throw InvalidArgument("batch: block_width must be in [1, " +
@@ -111,12 +104,12 @@ BatchReconstructor::BatchReconstructor(const core::Reconstructor& recon,
           : std::max(1, omp_get_max_threads() / options_.workers);
 
   ops_.reserve(static_cast<std::size_t>(options_.workers));
+  const bool sharded = core::is_sharded(config_);
   for (int w = 0; w < options_.workers; ++w)
-    ops_.push_back(serial != nullptr
-                       ? std::unique_ptr<solve::LinearOperator>(
-                             serial->make_view())
-                       : std::unique_ptr<solve::LinearOperator>(
-                             sharded->make_view()));
+    ops_.push_back(sharded ? std::unique_ptr<solve::LinearOperator>(
+                                 recon_.shard_op()->make_view())
+                           : std::unique_ptr<solve::LinearOperator>(
+                                 recon_.serial_op()->make_view()));
 
   threads_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w)

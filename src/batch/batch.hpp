@@ -152,13 +152,11 @@ struct BatchReport {
 
 /// Fixed worker pool driving slices through one preprocessed operator.
 ///
-/// The wrapped Reconstructor must outlive the engine and must be on the
-/// serial path (num_ranks == 1, not force_distributed) or the sharded path
-/// (num_shards > 1): both expose per-worker views sharing the immutable
-/// preprocessed storage. The simulated dist::DistOperator has no views —
-/// its per-apply exchange state cannot be shared across workers — and is
-/// rejected. On-disk solver checkpointing is disabled inside the batch (a
-/// shared checkpoint file across concurrent slices would corrupt;
+/// The wrapped Reconstructor must outlive the engine. Both operator
+/// families (serial and sharded, see core::is_sharded) expose per-worker
+/// views sharing the immutable preprocessed storage, so any Reconstructor
+/// can be batched. On-disk solver checkpointing is disabled inside the
+/// batch (a shared checkpoint file across concurrent slices would corrupt;
 /// in-memory divergence rollback still applies per slice).
 ///
 /// Thread safety: submit() and wait_all() are producer-side calls and may

@@ -5,6 +5,7 @@
 
 #include "hilbert/ordering.hpp"
 #include "resil/ingest.hpp"
+#include "shard/plan.hpp"
 #include "sparse/buffered.hpp"
 #include "sparse/precision.hpp"
 
@@ -81,9 +82,9 @@ struct Config {
   /// Operator-build autotuning (src/tune): Off keeps the fields above as
   /// given; Cached/Force let the in-process tuner resolve kernel, schedule,
   /// and buffer from measurements on the traced matrix (serial operator
-  /// path only — sharded/distributed builds ignore it). NOT part of the
-  /// operator identity: the registry and the Reconstructor key operators by
-  /// the RESOLVED config, so a tuned operator and an explicitly-configured
+  /// path only — sharded builds ignore it). NOT part of the operator
+  /// identity: the registry and the Reconstructor key operators by the
+  /// RESOLVED config, so a tuned operator and an explicitly-configured
   /// twin share one cache entry.
   AutotuneMode autotune = AutotuneMode::Off;
 
@@ -126,11 +127,18 @@ struct Config {
   /// >1 shards the operator across this many simulated ranks behind the
   /// serving stack (shard/sharded_operator.hpp): per-shard row slices of A
   /// and A^T with precomputed halo-exchange plans and a comm/compute
-  /// overlap pipeline, bitwise identical to num_shards == 1 for any value.
-  /// Part of the operator identity (opkey suffix "-sh<P>" when > 1).
-  /// Supported for the Baseline/Buffered kernels at Fp32. Mutually
-  /// exclusive with num_ranks > 1 / force_distributed.
+  /// overlap pipeline; with the Duplicate exchange, bitwise identical to
+  /// num_shards == 1 for any value.
+  /// Part of the operator identity (opkey suffix "-sh<P>" when sharded).
+  /// Supported for the Baseline/Buffered kernels at Fp32.
   int num_shards = 1;
+  /// What the sharded forward exchange moves: tomogram copies (Duplicate,
+  /// bitwise equal to P=1) or the paper's partial sinogram sums reduced at
+  /// their owners (Reduce, over the tile-snapped partition of Section 3.4 —
+  /// what the Fig 7/11 and Table 1/5 benches measure). Reduce builds the
+  /// sharded operator even at num_shards == 1 (Fig 11's root point). Part
+  /// of the operator identity (opkey tag "-xr" for Reduce).
+  shard::Exchange shard_exchange = shard::Exchange::Duplicate;
   /// Shard group size for the hierarchical two-level exchange; <= 1 keeps
   /// the flat single-round exchange. Only meaningful when num_shards > 1.
   int shard_group_size = 1;
@@ -138,21 +146,26 @@ struct Config {
   /// tile t computes); 0 = auto.
   int shard_pipeline_tiles = 0;
 
-  /// >1 runs the distributed R·C·A_p path over simmpi with this many ranks.
-  int num_ranks = 1;
-  /// Use the distributed path even at num_ranks == 1 (for scaling studies
-  /// that need the A_p/C/R breakdown at the P=1 root point).
-  bool force_distributed = false;
   /// Machine whose interconnect models communication time (Table 2 name).
   std::string machine = "Theta";
 };
 
+/// Which operator family `config` builds: true for the partitioned
+/// shard::ShardedOperator (more than one shard, or the Reduce exchange at
+/// any P), false for the serial MemXCTOperator. The one rule every layer
+/// (validation, Reconstructor, autotune, degradation, batch, streaming,
+/// serve) branches on.
+[[nodiscard]] inline bool is_sharded(const Config& config) noexcept {
+  return config.num_shards > 1 ||
+         config.shard_exchange == shard::Exchange::Reduce;
+}
+
 /// Single source of truth for configuration-combination support: throws
 /// InvalidArgument for out-of-range scalar fields and the typed
-/// UnsupportedConfigError for pairwise flag conflicts (shards+ranks,
-/// shards+precision, ranks+precision, shards+kernel, kernel+precision).
-/// Called by the Reconstructor build path, serve admission, and the
-/// autotuner's candidate pruning, so all three agree on what is legal.
+/// UnsupportedConfigError for pairwise flag conflicts (shards+precision,
+/// shards+kernel, kernel+precision). Called by the Reconstructor build
+/// path, serve admission, and the autotuner's candidate pruning, so all
+/// three agree on what is legal.
 void validate_config(const Config& config);
 
 }  // namespace memxct::core

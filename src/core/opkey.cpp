@@ -39,10 +39,14 @@ OperatorKey operator_key(const geometry::Geometry& geometry,
      << sparse::to_string(config.precision);
   // Sharding changes the built structure (row slices, exchange plans), so
   // it is part of the operator identity — but only when active, keeping
-  // every pre-sharding key text (and disk-cache stem) unchanged.
-  if (config.num_shards > 1)
+  // every pre-sharding key text (and disk-cache stem) unchanged. The
+  // exchange tag likewise appears only for Reduce, so Duplicate keys keep
+  // their pre-Reduce text.
+  if (is_sharded(config)) {
     os << "-sh" << config.num_shards << "-g" << config.shard_group_size
        << "-pt" << config.shard_pipeline_tiles;
+    if (config.shard_exchange == shard::Exchange::Reduce) os << "-xr";
+  }
 
   OperatorKey key;
   key.text = os.str();
@@ -63,6 +67,7 @@ Config operator_config(const Config& config) {
   norm.num_shards = config.num_shards;
   norm.shard_group_size = config.shard_group_size;
   norm.shard_pipeline_tiles = config.shard_pipeline_tiles;
+  norm.shard_exchange = config.shard_exchange;
   return norm;
 }
 

@@ -36,9 +36,10 @@ struct OperatorKey {
 
 /// Normalizes a request config down to the fields that shape the operator:
 /// ordering, tile size, kernel, buffer tuning, ELL block size, schedule,
-/// block width, value precision.
+/// block width, value precision, and the shard layout (count, group size,
+/// pipeline tiles, exchange mode).
 /// Everything else (solver, iterations, ingest, checkpoints, cache dir,
-/// distribution) is reset to defaults, so registry entries built from the
+/// machine model) is reset to defaults, so registry entries built from the
 /// normalized config are shared across requests that disagree only on
 /// solve-time options.
 [[nodiscard]] Config operator_config(const Config& config);

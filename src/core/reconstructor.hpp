@@ -17,7 +17,6 @@
 
 #include "core/config.hpp"
 #include "core/operator.hpp"
-#include "dist/dist_operator.hpp"
 #include "geometry/geometry.hpp"
 #include "hilbert/ordering.hpp"
 #include "shard/sharded_operator.hpp"
@@ -32,7 +31,7 @@ struct PreprocessReport {
   double ordering_seconds = 0.0;
   double trace_seconds = 0.0;      ///< Ray tracing / matrix construction.
   double transpose_seconds = 0.0;  ///< Includes derived-format builds.
-  double partition_seconds = 0.0;  ///< Distributed plan construction.
+  double partition_seconds = 0.0;  ///< Sharded slice + plan construction.
   double tune_seconds = 0.0;  ///< Autotune step wall time (replay or
                               ///< measurement; 0 when autotune is Off).
   double total_seconds = 0.0;
@@ -113,8 +112,8 @@ struct SolveExtras {
 /// completed iteration for watchdog monitoring. `extras` (optional) carries
 /// warm-start / partial-data inputs for the ordered-subsets solvers; the
 /// OS solvers additionally require `op` to be a serial MemXCTOperator
-/// (subset views need the memoized storage — the distributed operator
-/// throws InvalidArgument).
+/// (subset views need the memoized storage — a sharded operator throws
+/// InvalidArgument).
 [[nodiscard]] ReconstructionResult reconstruct_slice(
     const solve::LinearOperator& op, const geometry::Geometry& geometry,
     const Config& config, const hilbert::Ordering& sino_order,
@@ -172,22 +171,19 @@ class Reconstructor {
   [[nodiscard]] const hilbert::Ordering& tomogram_ordering() const noexcept {
     return *tomo_order_;
   }
-  /// The operator actually used (serial MemXCTOperator or DistOperator).
+  /// The operator actually used (serial MemXCTOperator or
+  /// ShardedOperator).
   [[nodiscard]] const solve::LinearOperator& op() const noexcept {
     return *active_op_;
   }
-  /// Non-null only on the serial path (num_ranks == 1, not forced
-  /// distributed). The batch engine builds per-worker views from it.
+  /// Non-null exactly when !is_sharded(config()). The batch engine builds
+  /// per-worker views from it.
   [[nodiscard]] const MemXCTOperator* serial_op() const noexcept {
     return serial_op_.get();
   }
-  /// Non-null only on the distributed path.
-  [[nodiscard]] const dist::DistOperator* dist_op() const noexcept {
-    return dist_op_.get();
-  }
-  /// Non-null only on the sharded path (num_shards > 1). The batch engine
-  /// and the serve workers build per-worker views from it, exactly as they
-  /// do from serial_op on the unsharded path.
+  /// Non-null exactly when is_sharded(config()). The batch engine and the
+  /// serve workers build per-worker views from it, exactly as they do from
+  /// serial_op on the unsharded path.
   [[nodiscard]] const shard::ShardedOperator* shard_op() const noexcept {
     return shard_op_.get();
   }
@@ -200,7 +196,6 @@ class Reconstructor {
   std::unique_ptr<hilbert::Ordering> sino_order_;
   std::unique_ptr<hilbert::Ordering> tomo_order_;
   std::unique_ptr<MemXCTOperator> serial_op_;
-  std::unique_ptr<dist::DistOperator> dist_op_;
   std::unique_ptr<shard::ShardedOperator> shard_op_;
   solve::LinearOperator* active_op_ = nullptr;
 };

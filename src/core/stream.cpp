@@ -13,10 +13,11 @@ StreamingReconstructor::StreamingReconstructor(const Reconstructor& recon)
     throw InvalidArgument(
         "streaming ingest requires an ordered-subsets solver "
         "(--solver os-sirt or os-sart)");
-  if (recon.serial_op() == nullptr)
+  if (is_sharded(c))
     throw InvalidArgument(
-        "streaming ingest requires the serial memoized operator "
-        "(num_ranks == 1, not force_distributed)");
+        "streaming ingest requires the serial memoized operator: use "
+        "--shards 1 with --exchange duplicate (sharded operators have no "
+        "subset views)");
   const auto& g = recon.geometry();
   sino_.assign(static_cast<std::size_t>(g.sinogram_extent().size()), real{0});
   mask_.assign(static_cast<std::size_t>(g.num_angles), real{0});

@@ -9,32 +9,20 @@
 namespace memxct::core {
 
 void validate_config(const Config& config) {
-  if (config.num_ranks < 1)
-    throw InvalidArgument("config: num_ranks must be >= 1");
   if (config.num_shards < 1)
     throw InvalidArgument("config: num_shards must be >= 1");
 
-  const bool distributed = config.num_ranks > 1 || config.force_distributed;
-  const bool sharded = config.num_shards > 1;
+  const bool sharded = is_sharded(config);
   const bool reduced = config.precision != sparse::ValueStorage::Fp32;
   const bool shardable_kernel = config.kernel == KernelKind::Baseline ||
                                 config.kernel == KernelKind::Buffered;
 
-  if (sharded && distributed)
-    throw UnsupportedConfigError(
-        "--shards", "--ranks",
-        "the sharded serving path and the distributed simmpi path are "
-        "separate operator families; pick one");
   if (sharded && reduced)
     throw UnsupportedConfigError(
         "--shards", "--precision",
         "reduced-precision operators (bf16/fp16) are not supported on the "
-        "sharded path; use --precision fp32 or --shards 1");
-  if (distributed && reduced)
-    throw UnsupportedConfigError(
-        "--ranks", "--precision",
-        "reduced-precision operators (bf16/fp16) are not supported on the "
-        "distributed path; use --precision fp32 or --ranks 1");
+        "sharded path (--shards > 1 or --exchange reduce); use --precision "
+        "fp32, or --shards 1 with --exchange duplicate");
   if (sharded && !shardable_kernel)
     throw UnsupportedConfigError(
         "--shards", "--kernel",

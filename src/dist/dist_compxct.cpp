@@ -12,17 +12,17 @@
 namespace memxct::dist {
 
 DistCompXctOperator::DistCompXctOperator(const geometry::Geometry& geometry,
-                                         int num_ranks,
+                                         int ranks,
                                          const perf::MachineSpec& machine)
-    : geometry_(geometry), num_ranks_(num_ranks), machine_(machine),
-      comm_(num_ranks) {
+    : geometry_(geometry), ranks_(ranks), machine_(machine),
+      comm_(ranks) {
   geometry_.validate();
-  MEMXCT_CHECK(num_ranks >= 1);
+  MEMXCT_CHECK(ranks >= 1);
   const auto total = static_cast<idx_t>(geometry_.sinogram_extent().size());
-  ray_displ_.resize(static_cast<std::size_t>(num_ranks) + 1);
-  for (int r = 0; r <= num_ranks; ++r)
+  ray_displ_.resize(static_cast<std::size_t>(ranks) + 1);
+  for (int r = 0; r <= ranks; ++r)
     ray_displ_[static_cast<std::size_t>(r)] = static_cast<idx_t>(
-        static_cast<std::int64_t>(total) * r / num_ranks);
+        static_cast<std::int64_t>(total) * r / ranks);
 }
 
 idx_t DistCompXctOperator::num_rows() const {
@@ -39,7 +39,7 @@ void DistCompXctOperator::apply(std::span<const real> x,
   MEMXCT_CHECK(static_cast<idx_t>(y.size()) == num_rows());
   // Ray-parallel gather: no communication (each rank owns its rows).
   std::vector<std::pair<idx_t, real>> segments;
-  for (int rank = 0; rank < num_ranks_; ++rank) {
+  for (int rank = 0; rank < ranks_; ++rank) {
     for (idx_t i = ray_displ_[static_cast<std::size_t>(rank)];
          i < ray_displ_[static_cast<std::size_t>(rank) + 1]; ++i) {
       geometry::trace_ray(geometry_, i / geometry_.num_channels,
@@ -57,7 +57,7 @@ void DistCompXctOperator::apply_transpose(std::span<const real> y,
   MEMXCT_CHECK(static_cast<idx_t>(y.size()) == num_rows());
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == num_cols());
   const auto pixels = static_cast<std::size_t>(num_cols());
-  const auto ranks = static_cast<std::size_t>(num_ranks_);
+  const auto ranks = static_cast<std::size_t>(ranks_);
 
   // Per-rank full tomogram replica: the duplication cost.
   std::vector<AlignedVector<real>> replicas(
@@ -74,7 +74,7 @@ void DistCompXctOperator::apply_transpose(std::span<const real> y,
     }
   }
 
-  if (num_ranks_ == 1) {
+  if (ranks_ == 1) {
     std::copy(replicas[0].begin(), replicas[0].end(), x.begin());
     return;
   }
@@ -139,7 +139,7 @@ void DistCompXctOperator::apply_transpose(std::span<const real> y,
       machine_,
       static_cast<std::int64_t>(pixels) * static_cast<std::int64_t>(
                                               sizeof(real)),
-      num_ranks_);
+      ranks_);
 
   std::copy(replicas[0].begin(), replicas[0].end(), x.begin());
   // All replicas must agree after the allgather phase.

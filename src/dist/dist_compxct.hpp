@@ -23,9 +23,9 @@ namespace memxct::dist {
 
 class DistCompXctOperator final : public solve::LinearOperator {
  public:
-  /// Rays are split into `num_ranks` contiguous blocks (natural order —
+  /// Rays are split into `ranks` contiguous blocks (natural order —
   /// the compute-centric systems don't reorder domains).
-  DistCompXctOperator(const geometry::Geometry& geometry, int num_ranks,
+  DistCompXctOperator(const geometry::Geometry& geometry, int ranks,
                       const perf::MachineSpec& machine =
                           perf::machine("Theta"));
 
@@ -63,7 +63,7 @@ class DistCompXctOperator final : public solve::LinearOperator {
 
  private:
   geometry::Geometry geometry_;
-  int num_ranks_;
+  int ranks_;
   perf::MachineSpec machine_;
   std::vector<idx_t> ray_displ_;  ///< Ray-block boundaries per rank.
   mutable SimComm comm_;

@@ -19,9 +19,9 @@ namespace memxct::dist {
 /// Contiguous ordered-index ranges per rank.
 class DomainPartition {
  public:
-  DomainPartition(int num_ranks, std::vector<idx_t> rank_displ);
+  DomainPartition(int num_parts, std::vector<idx_t> rank_displ);
 
-  [[nodiscard]] int num_ranks() const noexcept { return num_ranks_; }
+  [[nodiscard]] int num_parts() const noexcept { return num_parts_; }
   [[nodiscard]] idx_t begin(int rank) const {
     return rank_displ_[static_cast<std::size_t>(rank)];
   }
@@ -40,15 +40,15 @@ class DomainPartition {
   [[nodiscard]] double imbalance() const;
 
  private:
-  int num_ranks_;
+  int num_parts_;
   std::vector<idx_t> rank_displ_;
 };
 
-/// Splits `ordering` into `num_ranks` contiguous ranges, snapping each cut
+/// Splits `ordering` into `num_parts` contiguous ranges, snapping each cut
 /// to the nearest tile boundary. Falls back to exact cell cuts when ranks
 /// outnumber tiles.
 [[nodiscard]] DomainPartition partition_by_tiles(
-    const hilbert::Ordering& ordering, int num_ranks);
+    const hilbert::Ordering& ordering, int num_parts);
 
 /// Splits by per-tile *work weights* instead of cell counts: cuts are
 /// placed at tile boundaries balancing cumulative weight. Projection work
@@ -57,7 +57,7 @@ class DomainPartition {
 /// the balance the paper says tile granularity bounds.
 [[nodiscard]] DomainPartition partition_by_weights(
     const hilbert::Ordering& ordering, std::span<const double> tile_weights,
-    int num_ranks);
+    int num_parts);
 
 /// Per-tile nonzero counts of a matrix whose ROWS live in this ordering's
 /// index space (use A for the sinogram domain, A^T for the tomogram).

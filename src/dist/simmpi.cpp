@@ -9,20 +9,20 @@
 
 namespace memxct::dist {
 
-SimComm::SimComm(int num_ranks) : num_ranks_(num_ranks) {
-  MEMXCT_CHECK(num_ranks >= 1);
-  recv_displ_.resize(static_cast<std::size_t>(num_ranks));
-  last_stats_.resize(static_cast<std::size_t>(num_ranks));
-  total_stats_.resize(static_cast<std::size_t>(num_ranks));
+SimComm::SimComm(int ranks) : ranks_(ranks) {
+  MEMXCT_CHECK(ranks >= 1);
+  recv_displ_.resize(static_cast<std::size_t>(ranks));
+  last_stats_.resize(static_cast<std::size_t>(ranks));
+  total_stats_.resize(static_cast<std::size_t>(ranks));
   traffic_matrix_.assign(
-      static_cast<std::size_t>(num_ranks) * static_cast<std::size_t>(num_ranks),
+      static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks),
       0);
 }
 
 void SimComm::alltoallv(const std::vector<AlignedVector<real>>& send,
                         const std::vector<std::vector<nnz_t>>& send_displ,
                         std::vector<AlignedVector<real>>& recv) {
-  const auto ranks = static_cast<std::size_t>(num_ranks_);
+  const auto ranks = static_cast<std::size_t>(ranks_);
   MEMXCT_CHECK(send.size() == ranks && send_displ.size() == ranks);
   for (std::size_t p = 0; p < ranks; ++p) {
     MEMXCT_CHECK(send_displ[p].size() == ranks + 1);
@@ -94,7 +94,7 @@ void SimComm::alltoallv(const std::vector<AlignedVector<real>>& send,
 
 double SimComm::last_exchange_seconds(const perf::MachineSpec& spec) const {
   double worst = 0.0;
-  for (int r = 0; r < num_ranks_; ++r)
+  for (int r = 0; r < ranks_; ++r)
     worst = std::max(worst, perf::alltoallv_seconds(spec, last_stats(r)));
   return worst;
 }

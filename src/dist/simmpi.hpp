@@ -34,18 +34,27 @@ using FaultHook = std::function<std::size_t(int src, int dst,
 /// Per-rank variable-size exchange (MPI_Alltoallv equivalent).
 class SimComm {
  public:
-  explicit SimComm(int num_ranks);
+  explicit SimComm(int ranks);
 
-  [[nodiscard]] int num_ranks() const noexcept { return num_ranks_; }
+  [[nodiscard]] int ranks() const noexcept { return ranks_; }
 
   /// Executes one alltoallv: rank p's send buffer holds its outgoing
   /// elements grouped by destination, with group boundaries in
-  /// send_displ[p] (size num_ranks+1). On return, recv[q] holds incoming
+  /// send_displ[p] (size ranks+1). On return, recv[q] holds incoming
   /// elements grouped by source with boundaries in recv_displ(q).
   /// Self-destined data is copied but not charged to network statistics.
   void alltoallv(const std::vector<AlignedVector<real>>& send,
                  const std::vector<std::vector<nnz_t>>& send_displ,
                  std::vector<AlignedVector<real>>& recv);
+
+  /// Counts `elements` that `rank` copied to itself outside alltoallv (owned
+  /// inputs gathered locally) on the traffic-matrix diagonal, exactly as a
+  /// self-destined alltoallv block would be. Never charged to network
+  /// statistics.
+  void count_local(int rank, std::int64_t elements) {
+    traffic_matrix_[static_cast<std::size_t>(rank) *
+                        static_cast<std::size_t>(ranks_ + 1)] += elements;
+  }
 
   /// Group boundaries of rank q's receive buffer after the last exchange.
   [[nodiscard]] const std::vector<nnz_t>& recv_displ(int rank) const {
@@ -63,7 +72,7 @@ class SimComm {
   }
 
   /// Element counts moved between rank pairs over all exchanges
-  /// (row-major num_ranks × num_ranks; includes self-traffic) — the Fig 7
+  /// (row-major ranks × ranks; includes self-traffic) — the Fig 7
   /// communication matrix.
   [[nodiscard]] const std::vector<std::int64_t>& traffic_matrix()
       const noexcept {
@@ -101,7 +110,7 @@ class SimComm {
   [[nodiscard]] bool validation() const noexcept { return validate_; }
 
  private:
-  int num_ranks_;
+  int ranks_;
   std::vector<std::vector<nnz_t>> recv_displ_;
   std::vector<perf::CommStats> last_stats_;
   std::vector<perf::CommStats> total_stats_;

@@ -41,16 +41,15 @@ core::Config apply_rung(const core::Config& config, const DegradeRung& rung) {
     out.early_stop_tol = rung.early_stop_tol;
   }
   // Reduced precision only where the operator family supports it — the
-  // same gate Config::precision documents. The sharded and distributed
-  // families are fp32-only, so a degraded sharded request must not be
-  // rewritten into the UnsupportedConfigError the admission path rejects.
-  // An unsupported family silently keeps the submitted precision; the
-  // rung's other knobs still apply.
+  // same gate Config::precision documents. The sharded family is fp32-only,
+  // so a degraded sharded request must not be rewritten into the
+  // UnsupportedConfigError the admission path rejects. An unsupported
+  // family silently keeps the submitted precision; the rung's other knobs
+  // still apply.
   if (rung.precision != sparse::ValueStorage::Fp32 &&
       (config.kernel == core::KernelKind::Baseline ||
        config.kernel == core::KernelKind::Buffered) &&
-      config.num_shards == 1 && config.num_ranks == 1 &&
-      !config.force_distributed)
+      !core::is_sharded(config))
     out.precision = rung.precision;
   return out;
 }

@@ -7,6 +7,7 @@
 // discipline the solvers apply to their EarlyStop ring.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -15,8 +16,9 @@ namespace memxct::serve {
 
 /// Log-2-bucketed latency histogram. Buckets cover [2^i, 2^(i+1)) µs for
 /// i in [0, 40), i.e. 1 µs up to ~6 days; observations outside clamp to the
-/// edge buckets. Quantiles are read as the upper bucket edge, so reported
-/// percentiles are conservative (never better than reality).
+/// edge buckets. Quantiles are read as the upper bucket edge capped at the
+/// observed max, so reported percentiles are conservative (never better
+/// than reality) yet never exceed the slowest observation.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 40;
@@ -41,8 +43,8 @@ class LatencyHistogram {
   }
   [[nodiscard]] double max_seconds() const noexcept { return max_; }
 
-  /// Upper edge (seconds) of the bucket holding the q-quantile observation;
-  /// 0 when empty. q is clamped to (0, 1].
+  /// Upper edge (seconds) of the bucket holding the q-quantile observation,
+  /// capped at max_seconds(); 0 when empty. q is clamped to (0, 1].
   [[nodiscard]] double quantile(double q) const noexcept {
     if (count_ == 0) return 0.0;
     if (q > 1.0) q = 1.0;
@@ -52,7 +54,8 @@ class LatencyHistogram {
     for (int i = 0; i < kBuckets; ++i) {
       cum += counts_[static_cast<std::size_t>(i)];
       if (cum >= target)
-        return static_cast<double>(std::uint64_t{1} << (i + 1)) * 1e-6;
+        return std::min(
+            static_cast<double>(std::uint64_t{1} << (i + 1)) * 1e-6, max_);
     }
     return max_;
   }

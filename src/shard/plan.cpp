@@ -66,7 +66,7 @@ ExchangePlan build_exchange_plan(const dist::DomainPartition& input_owner,
                                  const std::vector<std::vector<idx_t>>& footprint,
                                  const std::vector<std::vector<int>>& first_tile,
                                  int tiles, int group_size) {
-  const int P = input_owner.num_ranks();
+  const int P = input_owner.num_parts();
   MEMXCT_CHECK_MSG(tiles >= 1, "exchange plan: tiles must be >= 1");
   MEMXCT_CHECK(static_cast<int>(footprint.size()) == P);
   MEMXCT_CHECK(static_cast<int>(first_tile.size()) == P);

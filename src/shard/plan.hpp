@@ -36,6 +36,20 @@
 
 namespace memxct::shard {
 
+/// What the sharded operator's forward exchange C moves (A = R·C·A_p).
+/// The backward direction is identical in both modes: owners duplicate
+/// sinogram values to every shard whose tomogram rows touch them.
+enum class Exchange {
+  /// Owner-computes with halo duplication: input copies travel, every
+  /// accumulation stays inside one shard, so any P is bitwise equal to P=1.
+  Duplicate,
+  /// The paper's Section 3.4.3 split: each shard applies its column block
+  /// A_p to the tomogram slice it owns, the partial sinogram rows travel
+  /// over the backward plan run in reverse, and owners sum them in
+  /// source-ascending order (R). Moves nnz(C) = O(MN·sqrt(P)) elements.
+  Reduce,
+};
+
 /// One alltoallv of an exchange schedule, fully precomputed.
 struct Round {
   /// Pack sources: staging-buffer positions (round 2 of a two-level plan)

@@ -38,6 +38,37 @@ std::int64_t plan_rank_bytes(const ExchangePlan& plan, int p) {
   return b;
 }
 
+/// One local multiply: SpMV at k = 1, interleaved k-lane SpMM otherwise.
+void local_kernel(const sparse::CsrMatrix& csr,
+                  const sparse::BufferedMatrix& buffered, bool use_buffered,
+                  idx_t k, std::span<const real> in, std::span<real> out) {
+  if (k == 1 && use_buffered)
+    sparse::spmv_buffered(buffered, in, out);
+  else if (k == 1)
+    sparse::spmv_csr(csr, in, out);
+  else if (use_buffered)
+    sparse::spmm_buffered(buffered, k, in, out);
+  else
+    sparse::spmm_csr(csr, k, in, out);
+}
+
+/// Block-width scaled copies of per-round send_displ arrays (k = 1 callers
+/// use the unscaled arrays; SimComm charges element counts, so k-wide lanes
+/// are billed k× automatically). `displ_of(ri)` yields round ri's arrays.
+template <class DisplOf>
+void scale_displ(std::vector<std::vector<std::vector<nnz_t>>>& scaled,
+                 idx_t& scaled_k, std::size_t rounds, idx_t k,
+                 DisplOf displ_of) {
+  if (scaled_k == k) return;
+  scaled.assign(rounds, {});
+  for (std::size_t ri = 0; ri < rounds; ++ri) {
+    scaled[ri] = displ_of(ri);
+    for (auto& per_src : scaled[ri])
+      for (auto& d : per_src) d *= static_cast<nnz_t>(k);
+  }
+  scaled_k = k;
+}
+
 }  // namespace
 
 ShardedOperator::ShardedOperator(std::shared_ptr<const Storage> storage)
@@ -46,7 +77,7 @@ ShardedOperator::ShardedOperator(std::shared_ptr<const Storage> storage)
       num_cols_(storage_->num_cols),
       comm_(storage_->opt.num_shards) {
   const auto P = static_cast<std::size_t>(storage_->opt.num_shards);
-  for (SideState* st : {&fwd_state_, &bwd_state_}) {
+  for (SideState* st : {&fwd_state_, &bwd_state_, &reduce_state_}) {
     st->x_local.resize(P);
     st->staging.resize(P);
     st->send.resize(P);
@@ -56,7 +87,13 @@ ShardedOperator::ShardedOperator(std::shared_ptr<const Storage> storage)
 
 ShardedOperator::ShardedOperator(const sparse::CsrMatrix& a,
                                  const Options& opt)
-    : ShardedOperator(build_storage(a, opt)) {}
+    : ShardedOperator(build_storage(a, opt, nullptr, nullptr)) {}
+
+ShardedOperator::ShardedOperator(const sparse::CsrMatrix& a,
+                                 const dist::DomainPartition& sino,
+                                 const dist::DomainPartition& tomo,
+                                 const Options& opt)
+    : ShardedOperator(build_storage(a, opt, &sino, &tomo)) {}
 
 ShardedOperator::Side ShardedOperator::build_side(
     const sparse::CsrMatrix& m, dist::DomainPartition rows,
@@ -131,15 +168,29 @@ ShardedOperator::Side ShardedOperator::build_side(
 }
 
 std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
-    const sparse::CsrMatrix& a, Options opt) {
+    const sparse::CsrMatrix& a, Options opt,
+    const dist::DomainPartition* sino_in,
+    const dist::DomainPartition* tomo_in) {
+  if (sino_in != nullptr) {
+    MEMXCT_CHECK(tomo_in != nullptr);
+    MEMXCT_CHECK_MSG(sino_in->num_parts() == tomo_in->num_parts(),
+                     "sharded operator: partition part counts differ");
+    MEMXCT_CHECK(sino_in->total() == a.num_rows);
+    MEMXCT_CHECK(tomo_in->total() == a.num_cols);
+    opt.num_shards = sino_in->num_parts();
+  }
   MEMXCT_CHECK_MSG(opt.num_shards >= 1,
                    "sharded operator: num_shards must be >= 1");
   if (opt.group_size < 1) opt.group_size = 1;
   const idx_t ps = opt.kernel == LocalKernel::Buffered ? opt.buffer.partsize
                                                        : sparse::kCsrPartsize;
   const sparse::CsrMatrix at = sparse::transpose(a);
-  dist::DomainPartition sino = partition_rows_aligned(a, opt.num_shards, ps);
-  dist::DomainPartition tomo = partition_rows_aligned(at, opt.num_shards, ps);
+  dist::DomainPartition sino =
+      sino_in != nullptr ? *sino_in
+                         : partition_rows_aligned(a, opt.num_shards, ps);
+  dist::DomainPartition tomo =
+      tomo_in != nullptr ? *tomo_in
+                         : partition_rows_aligned(at, opt.num_shards, ps);
 
   // Uniform pipeline tile count, bounded by the largest shard's partition
   // count so every non-empty tile is at least one kernel partition.
@@ -151,19 +202,25 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
   int tiles = opt.pipeline_tiles > 0 ? opt.pipeline_tiles : 4;
   tiles = std::max(1, std::min<int>(tiles, static_cast<int>(max_np)));
 
+  const bool reduce = opt.exchange == Exchange::Reduce;
   Storage st{opt,
              a.num_rows,
              a.num_cols,
              tiles,
-             build_side(a, sino, tomo, opt, ps, tiles),
+             reduce ? Side{sino, {}, {}, {}}
+                    : build_side(a, sino, tomo, opt, ps, tiles),
              build_side(at, tomo, sino, opt, ps, tiles),
+             {},
+             {},
              {}};
+  if (reduce) build_reduce(a, st);
 
   st.rank_bytes.assign(static_cast<std::size_t>(opt.num_shards), 0);
   for (int p = 0; p < opt.num_shards; ++p) {
+    const auto sp = static_cast<std::size_t>(p);
     std::int64_t b = 0;
     for (const Side* side : {&st.fwd, &st.bwd}) {
-      const auto sp = static_cast<std::size_t>(p);
+      if (side->tiles.empty()) continue;  // Reduce mode's forward side.
       b += static_cast<std::int64_t>(side->footprint[sp].size() *
                                      sizeof(idx_t));
       for (const TileBlock& block : side->tiles[sp]) {
@@ -173,9 +230,64 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
       }
       b += plan_rank_bytes(side->plan, p);
     }
-    st.rank_bytes[static_cast<std::size_t>(p)] = b;
+    if (reduce) {
+      b += st.reduce[sp].local.regular_bytes() +
+           buffered_bytes(st.reduce[sp].buffered);
+      for (const auto& round : st.reverse_displ)
+        b += static_cast<std::int64_t>(round[sp].size() * sizeof(nnz_t));
+    }
+    st.rank_bytes[sp] = b;
   }
   return std::make_shared<const Storage>(std::move(st));
+}
+
+void ShardedOperator::build_reduce(const sparse::CsrMatrix& a, Storage& st) {
+  const int P = st.opt.num_shards;
+  const dist::DomainPartition& tomo = st.bwd.rows;
+  st.reduce.resize(static_cast<std::size_t>(P));
+  for (int p = 0; p < P; ++p) {
+    sparse::CsrMatrix& ap = st.reduce[static_cast<std::size_t>(p)].local;
+    ap.num_cols = tomo.size(p);
+    ap.displ.push_back(0);
+  }
+  // A row's sorted columns make each shard's entries one contiguous run.
+  // Rows are visited in ascending order, so shard p's A_p rows come out in
+  // the order of its (sorted) backward footprint.
+  for (idx_t r = 0; r < a.num_rows; ++r) {
+    nnz_t j = a.displ[r];
+    while (j < a.displ[r + 1]) {
+      const int p = tomo.owner(a.ind[j]);
+      sparse::CsrMatrix& ap = st.reduce[static_cast<std::size_t>(p)].local;
+      for (; j < a.displ[r + 1] && a.ind[j] < tomo.end(p); ++j) {
+        ap.ind.push_back(a.ind[j] - tomo.begin(p));
+        ap.val.push_back(a.val[j]);
+      }
+      ap.displ.push_back(static_cast<nnz_t>(ap.ind.size()));
+      ap.num_rows += 1;
+    }
+  }
+  for (int p = 0; p < P; ++p) {
+    TileBlock& block = st.reduce[static_cast<std::size_t>(p)];
+    block.rows = block.local.num_rows;
+    MEMXCT_CHECK(static_cast<std::size_t>(block.rows) ==
+                 st.bwd.footprint[static_cast<std::size_t>(p)].size());
+    if (st.opt.kernel == LocalKernel::Buffered && block.rows > 0) {
+      block.buffered = sparse::build_buffered(block.local, st.opt.buffer);
+      block.local = sparse::CsrMatrix{};
+    }
+  }
+
+  // Reversing a round swaps the roles of sender and receiver: what q sent
+  // to p, p now sends to q.
+  const auto sP = static_cast<std::size_t>(P);
+  for (const Round& round : st.bwd.plan.rounds) {
+    std::vector<std::vector<nnz_t>> rev(sP, std::vector<nnz_t>(sP + 1, 0));
+    for (std::size_t p = 0; p < sP; ++p)
+      for (std::size_t q = 0; q < sP; ++q)
+        rev[p][q + 1] = rev[p][q] + (round.send_displ[q][p + 1] -
+                                     round.send_displ[q][p]);
+    st.reverse_displ.push_back(std::move(rev));
+  }
 }
 
 void ShardedOperator::gather_self(const Side& side, SideState& state,
@@ -192,6 +304,7 @@ void ShardedOperator::gather_self(const Side& side, SideState& state,
       for (idx_t s = 0; s < k; ++s)
         xl[static_cast<std::size_t>(pos[j]) * k + s] =
             x[static_cast<std::size_t>(s) * n + idx[j]];
+    comm_.count_local(p, static_cast<std::int64_t>(idx.size()) * k);
   }
 }
 
@@ -200,16 +313,9 @@ double ShardedOperator::run_exchange(const Side& side, SideState& state,
                                      idx_t n, int t) const {
   const ExchangePlan& plan = side.plan;
   const int P = plan.num_shards;
-  if (k > 1 && state.scaled_k != k) {
-    state.scaled_displ.assign(plan.rounds.size(), {});
-    for (std::size_t ri = 0; ri < plan.rounds.size(); ++ri) {
-      auto& scaled = state.scaled_displ[ri];
-      scaled = plan.rounds[ri].send_displ;
-      for (auto& per_src : scaled)
-        for (auto& d : per_src) d *= static_cast<nnz_t>(k);
-    }
-    state.scaled_k = k;
-  }
+  if (k > 1)
+    scale_displ(state.scaled_displ, state.scaled_k, plan.rounds.size(), k,
+                [&plan](std::size_t ri) { return plan.rounds[ri].send_displ; });
 
   double seconds = 0.0;
   for (int r = 0; r < plan.rounds_per_tile; ++r) {
@@ -309,19 +415,13 @@ void ShardedOperator::pipelined_apply(const Side& side, SideState& state,
       const auto& xl = state.x_local[sp];
       timer.reset();
       if (k == 1) {
-        const auto y_out = y.subspan(static_cast<std::size_t>(block.row_begin),
-                                     static_cast<std::size_t>(block.rows));
-        if (buffered)
-          sparse::spmv_buffered(block.buffered, xl, y_out);
-        else
-          sparse::spmv_csr(block.local, xl, y_out);
+        local_kernel(block.local, block.buffered, buffered, 1, xl,
+                     y.subspan(static_cast<std::size_t>(block.row_begin),
+                               static_cast<std::size_t>(block.rows)));
       } else {
         auto& yt = state.y_tile;
         yt.resize(static_cast<std::size_t>(block.rows) * k);
-        if (buffered)
-          sparse::spmm_buffered(block.buffered, k, xl, yt);
-        else
-          sparse::spmm_csr(block.local, k, xl, yt);
+        local_kernel(block.local, block.buffered, buffered, k, xl, yt);
         for (idx_t r = 0; r < block.rows; ++r)
           for (idx_t s = 0; s < k; ++s)
             y[static_cast<std::size_t>(s) * m + block.row_begin + r] =
@@ -338,8 +438,152 @@ void ShardedOperator::pipelined_apply(const Side& side, SideState& state,
   stats_.applies += 1;
 }
 
+void ShardedOperator::reduce_apply(std::span<const real> x, std::span<real> y,
+                                   idx_t k) const {
+  const idx_t n = num_cols_;
+  const idx_t m = num_rows_;
+  MEMXCT_CHECK(x.size() == static_cast<std::size_t>(n) * k);
+  MEMXCT_CHECK(y.size() == static_cast<std::size_t>(m) * k);
+  const Storage& st = *storage_;
+  const Side& side = st.bwd;  // Its footprints are the A_p output rows.
+  const ExchangePlan& plan = side.plan;
+  const int P = st.opt.num_shards;
+  const bool buffered = st.opt.kernel == LocalKernel::Buffered;
+  SideState& state = reduce_state_;
+  perf::WallTimer timer;
+
+  // A_p: shard p's partial sinogram rows (footprint order, k lanes
+  // interleaved) from the tomogram slice it owns.
+  double wall = 0.0, sum = 0.0;
+  for (int p = 0; p < P; ++p) {
+    const auto sp = static_cast<std::size_t>(p);
+    const TileBlock& block = st.reduce[sp];
+    auto& partial = state.x_local[sp];
+    partial.resize(static_cast<std::size_t>(block.rows) * k);
+    if (block.rows == 0) continue;
+    const idx_t c0 = side.rows.begin(p);
+    const idx_t cols = side.rows.size(p);
+    timer.reset();
+    if (k == 1) {
+      local_kernel(block.local, block.buffered, buffered, 1,
+                   x.subspan(static_cast<std::size_t>(c0),
+                             static_cast<std::size_t>(cols)),
+                   partial);
+    } else {
+      // y_tile doubles as the interleaved input slab here.
+      auto& xt = state.y_tile;
+      xt.resize(static_cast<std::size_t>(cols) * k);
+      for (idx_t j = 0; j < cols; ++j)
+        for (idx_t s = 0; s < k; ++s)
+          xt[static_cast<std::size_t>(j) * k + s] =
+              x[static_cast<std::size_t>(s) * n + c0 + j];
+      local_kernel(block.local, block.buffered, buffered, k, xt, partial);
+    }
+    const double sec = timer.seconds();
+    wall = std::max(wall, sec);
+    sum += sec;
+  }
+  stats_.compute_seconds += wall;
+  stats_.compute_sum_seconds += sum;
+
+  // C: the backward plan's rounds, last to first within each tile, with
+  // sender and receiver swapped. A round that delivered into footprints now
+  // packs partials from them; a round that filled a proxy's staging buffer
+  // now ships the proxy's staging sums back to the owners.
+  if (k > 1)
+    scale_displ(state.scaled_displ, state.scaled_k, plan.rounds.size(), k,
+                [&st](std::size_t ri) { return st.reverse_displ[ri]; });
+  state.held.resize(static_cast<std::size_t>(plan.tiles));
+  for (int t = 0; t < plan.tiles; ++t) {
+    for (int r = plan.rounds_per_tile - 1; r >= 0; --r) {
+      const auto ri = static_cast<std::size_t>(t) * plan.rounds_per_tile +
+                      static_cast<std::size_t>(r);
+      const Round& round = plan.rounds[ri];
+      for (int p = 0; p < P; ++p) {
+        const auto sp = static_cast<std::size_t>(p);
+        auto& buf = state.send[sp];
+        if (round.to_staging) {
+          buf.assign(state.staging[sp].begin(), state.staging[sp].end());
+          continue;
+        }
+        const auto& pos = round.scatter_pos[sp];
+        const auto& partial = state.x_local[sp];
+        buf.resize(pos.size() * static_cast<std::size_t>(k));
+        for (std::size_t e = 0; e < pos.size(); ++e)
+          for (idx_t s = 0; s < k; ++s)
+            buf[e * k + s] = partial[static_cast<std::size_t>(pos[e]) * k + s];
+      }
+      comm_.alltoallv(state.send,
+                      k > 1 ? state.scaled_displ[ri] : st.reverse_displ[ri],
+                      state.recv);
+      stats_.comm_seconds += comm_.last_exchange_measured_seconds();
+      stats_.comm_modeled_seconds += comm_.charge_model(st.opt.machine);
+      if (round.from_staging) {
+        // Proxies pre-sum their members' partials (member-ascending) into
+        // the staging slots the forward round-1 layout defines.
+        for (int p = 0; p < P; ++p) {
+          const auto sp = static_cast<std::size_t>(p);
+          auto& acc = state.staging[sp];
+          acc.assign(static_cast<std::size_t>(
+                         st.reverse_displ[ri - 1][sp].back()) * k,
+                     real{0});
+          const auto& pk = round.pack_index[sp];
+          const auto& recv = state.recv[sp];
+          for (std::size_t e = 0; e < pk.size(); ++e)
+            for (idx_t s = 0; s < k; ++s)
+              acc[static_cast<std::size_t>(pk[e]) * k + s] += recv[e * k + s];
+        }
+      } else {
+        state.held[static_cast<std::size_t>(t)].swap(state.recv);
+      }
+    }
+  }
+
+  // R: each owner sums its rows' partials source by source, ascending, its
+  // own locally kept partials at its own position. Every (source, row) pair
+  // occurs once across tiles, so the order per row is tile-independent.
+  double r_max = 0.0;
+  for (int q = 0; q < P; ++q) {
+    const auto sq = static_cast<std::size_t>(q);
+    timer.reset();
+    const idx_t r0 = st.fwd.rows.begin(q);
+    const idx_t r1 = st.fwd.rows.end(q);
+    for (idx_t s = 0; s < k; ++s)
+      std::fill(y.begin() + static_cast<std::ptrdiff_t>(s * m + r0),
+                y.begin() + static_cast<std::ptrdiff_t>(s * m + r1), real{0});
+    for (int src = 0; src < P; ++src) {
+      if (src == q) {
+        const auto& idx = plan.self_index[sq];
+        const auto& pos = plan.self_pos[sq];
+        const auto& partial = state.x_local[sq];
+        for (std::size_t j = 0; j < idx.size(); ++j)
+          for (idx_t s = 0; s < k; ++s)
+            y[static_cast<std::size_t>(s) * m + idx[j]] +=
+                partial[static_cast<std::size_t>(pos[j]) * k + s];
+        comm_.count_local(q, static_cast<std::int64_t>(idx.size()) * k);
+      }
+      for (int t = 0; t < plan.tiles; ++t) {
+        // The reversed owner-facing round is round 0 of the tile; its
+        // forward pack_index names the global row of every arrival.
+        const Round& round = plan.round(t, 0);
+        const auto& pk = round.pack_index[sq];
+        const auto& recv = state.held[static_cast<std::size_t>(t)][sq];
+        const auto& sd = round.send_displ[sq];
+        for (nnz_t e = sd[static_cast<std::size_t>(src)];
+             e < sd[static_cast<std::size_t>(src) + 1]; ++e)
+          for (idx_t s = 0; s < k; ++s)
+            y[static_cast<std::size_t>(s) * m + pk[e]] +=
+                recv[static_cast<std::size_t>(e) * k + s];
+      }
+    }
+    r_max = std::max(r_max, timer.seconds());
+  }
+  stats_.reduce_seconds += r_max;
+  stats_.applies += 1;
+}
+
 void ShardedOperator::apply(std::span<const real> x, std::span<real> y) const {
-  pipelined_apply(storage_->fwd, fwd_state_, x, y, 1, num_cols_, num_rows_);
+  apply_block(x, y, 1);
 }
 
 void ShardedOperator::apply_transpose(std::span<const real> y,
@@ -349,7 +593,10 @@ void ShardedOperator::apply_transpose(std::span<const real> y,
 
 void ShardedOperator::apply_block(std::span<const real> x, std::span<real> y,
                                   idx_t k) const {
-  pipelined_apply(storage_->fwd, fwd_state_, x, y, k, num_cols_, num_rows_);
+  if (storage_->opt.exchange == Exchange::Reduce)
+    reduce_apply(x, y, k);
+  else
+    pipelined_apply(storage_->fwd, fwd_state_, x, y, k, num_cols_, num_rows_);
 }
 
 void ShardedOperator::apply_transpose_block(std::span<const real> y,
@@ -367,6 +614,17 @@ int ShardedOperator::num_shards() const noexcept {
 
 int ShardedOperator::pipeline_tiles() const noexcept {
   return storage_->tiles;
+}
+
+Exchange ShardedOperator::exchange() const noexcept {
+  return storage_->opt.exchange;
+}
+
+std::int64_t ShardedOperator::total_partial_rows() const {
+  std::int64_t rows = 0;
+  for (const auto& fp : storage_->bwd.footprint)
+    rows += static_cast<std::int64_t>(fp.size());
+  return rows;
 }
 
 std::int64_t ShardedOperator::bytes() const {

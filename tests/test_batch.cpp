@@ -183,12 +183,22 @@ TEST(Batch, RejectsWrongSizeSinogramAtSubmit) {
   EXPECT_EQ(results[0].status, batch::SliceStatus::Ok);
 }
 
-TEST(Batch, RequiresSerialOperatorPath) {
-  auto f = make_fixture(1);
-  f.config.num_ranks = 4;
+TEST(Batch, ReduceExchangeSlicesMatchSingleSliceBitwise) {
+  // Every operator family has per-worker views, the Reduce exchange
+  // included: batched slices equal the single-slice path bit for bit.
+  auto f = make_fixture(3);
+  f.config.num_shards = 4;
+  f.config.shard_exchange = shard::Exchange::Reduce;
   const core::Reconstructor recon(f.g, f.config);
-  EXPECT_THROW(batch::BatchReconstructor(recon, {.workers = 2}),
-               InvalidArgument);
+  const auto results = run_batch(recon, f, {.workers = 2});
+  ASSERT_EQ(results.size(), f.slices.size());
+  for (std::size_t s = 0; s < f.slices.size(); ++s) {
+    ASSERT_EQ(results[s].status, batch::SliceStatus::Ok);
+    const auto single = recon.reconstruct(f.slices[s]);
+    EXPECT_EQ(0, std::memcmp(single.image.data(), results[s].image.data(),
+                             single.image.size() * sizeof(real)))
+        << "slice " << s;
+  }
 }
 
 TEST(Batch, RejectsNonPositiveWorkerCount) {

@@ -75,7 +75,8 @@ TEST(CoreExtra, DistributedBufferedConfigMatchesSerial) {
   Config serial_config;
   serial_config.iterations = 6;
   Config dist_config = serial_config;
-  dist_config.num_ranks = 4;
+  dist_config.num_shards = 4;
+  dist_config.shard_exchange = shard::Exchange::Reduce;
   const Reconstructor serial(data.geometry, serial_config);
   const Reconstructor dist(data.geometry, dist_config);
   const auto r1 = serial.reconstruct(data.sinogram);
@@ -129,7 +130,7 @@ TEST(CoreExtra, MortonOrderingEndToEnd) {
 TEST(CoreExtra, RejectsInvalidRankCount) {
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   Config config;
-  config.num_ranks = 0;
+  config.num_shards = 0;
   // validate_config classifies a bad rank count as a caller error, not an
   // internal invariant violation.
   EXPECT_THROW(Reconstructor(spec.geometry(), config), InvalidArgument);

@@ -1,9 +1,13 @@
-// Tests for the distributed A = R·C·A_p operator against the serial matrix.
+// Tests for the paper's distributed A = R·C·A_p apply — the Reduce exchange
+// of shard::ShardedOperator over tile-snapped partitions — against the
+// serial matrix, plus the CompXCT allreduce baseline.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "dist/dist_compxct.hpp"
-#include "dist/dist_operator.hpp"
 #include "geometry/projector.hpp"
+#include "shard/sharded_operator.hpp"
 #include "solve/cgls.hpp"
 #include "solve/sirt.hpp"
 #include "sparse/spmv.hpp"
@@ -12,6 +16,18 @@
 
 namespace memxct::dist {
 namespace {
+
+using shard::ShardedOperator;
+
+/// The paper's configuration of the partitioned operator: Reduce exchange,
+/// baseline CSR local kernels, one exchange per apply.
+const ShardedOperator::Options kReduce = [] {
+  ShardedOperator::Options opt;
+  opt.kernel = shard::LocalKernel::BaselineCsr;
+  opt.pipeline_tiles = 1;
+  opt.exchange = shard::Exchange::Reduce;
+  return opt;
+}();
 
 struct DistSetup {
   sparse::CsrMatrix a;
@@ -35,7 +51,7 @@ class RankSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RankSweep, ForwardMatchesSerial) {
   const auto setup = make_setup(GetParam());
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const ShardedOperator op(setup.a, setup.sino, setup.tomo, kReduce);
   const auto x = testutil::random_vector(setup.a.num_cols, 71);
   AlignedVector<real> y_dist(static_cast<std::size_t>(setup.a.num_rows));
   AlignedVector<real> y_serial(static_cast<std::size_t>(setup.a.num_rows));
@@ -46,7 +62,7 @@ TEST_P(RankSweep, ForwardMatchesSerial) {
 
 TEST_P(RankSweep, TransposeMatchesSerial) {
   const auto setup = make_setup(GetParam());
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const ShardedOperator op(setup.a, setup.sino, setup.tomo, kReduce);
   const auto at = sparse::transpose(setup.a);
   const auto y = testutil::random_vector(setup.a.num_rows, 72);
   AlignedVector<real> x_dist(static_cast<std::size_t>(setup.a.num_cols));
@@ -58,18 +74,56 @@ TEST_P(RankSweep, TransposeMatchesSerial) {
 
 TEST_P(RankSweep, KernelTimesAreRecorded) {
   const auto setup = make_setup(GetParam());
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const ShardedOperator op(setup.a, setup.sino, setup.tomo, kReduce);
   const auto x = testutil::random_vector(setup.a.num_cols, 73);
   AlignedVector<real> y(static_cast<std::size_t>(setup.a.num_rows));
   op.apply(x, y);
   op.apply(x, y);
-  const auto& times = op.kernel_times();
-  EXPECT_EQ(times.applies, 2);
-  EXPECT_GT(times.ap_seconds, 0.0);
-  EXPECT_GE(times.ap_sum_seconds, times.ap_seconds);
-  EXPECT_GE(times.reduce_seconds, 0.0);
+  const auto& stats = op.stats();
+  EXPECT_EQ(stats.applies, 2);
+  EXPECT_GT(stats.compute_seconds, 0.0);
+  EXPECT_GE(stats.compute_sum_seconds, stats.compute_seconds);
+  EXPECT_GE(stats.reduce_seconds, 0.0);
   if (GetParam() > 1) {
-    EXPECT_GT(times.comm_seconds, 0.0);
+    EXPECT_GT(stats.comm_modeled_seconds, 0.0);
+  }
+}
+
+TEST_P(RankSweep, CommunicationMatchesGoldens) {
+  // nnz(C) and the forward traffic-matrix row sums (elements each rank
+  // sends, self included) for the tile-snapped partition, recorded from
+  // the standalone distributed operator this mode replaced. The paper's
+  // communication numbers must not move.
+  struct Golden {
+    std::int64_t partial_rows;
+    std::vector<std::int64_t> row_sums;
+  };
+  const std::map<int, Golden> goldens = {
+      {1, {480, {480}}},
+      {2, {784, {392, 392}}},
+      {3, {986, {322, 342, 322}}},
+      {4, {1210, {303, 302, 302, 303}}},
+      {7, {1664, {206, 241, 251, 268, 251, 241, 206}}},
+      {16,
+       {2419,
+        {121, 138, 202, 153, 150, 140, 155, 150, 150, 138, 171, 150, 153,
+         153, 174, 121}}},
+  };
+  const int p = GetParam();
+  const Golden& golden = goldens.at(p);
+  const auto setup = make_setup(p);
+  const ShardedOperator op(setup.a, setup.sino, setup.tomo, kReduce);
+  EXPECT_EQ(op.total_partial_rows(), golden.partial_rows);
+  const auto x = testutil::random_vector(setup.a.num_cols, 74);
+  AlignedVector<real> y(static_cast<std::size_t>(setup.a.num_rows));
+  op.apply(x, y);
+  const auto& matrix = op.comm().traffic_matrix();
+  for (int src = 0; src < p; ++src) {
+    std::int64_t sent = 0;
+    for (int dst = 0; dst < p; ++dst)
+      sent += matrix[static_cast<std::size_t>(src * p + dst)];
+    EXPECT_EQ(sent, golden.row_sums[static_cast<std::size_t>(src)])
+        << "rank " << src;
   }
 }
 
@@ -79,10 +133,12 @@ TEST(DistOperator, BufferedLocalKernelMatchesBaseline) {
   // The paper's full per-node configuration: Listing 3 kernels on each
   // rank's local blocks must agree with the baseline CSR path.
   const auto setup = make_setup(5);
-  const DistOperator base(setup.a, setup.sino, setup.tomo);
-  const DistOperator buffered(setup.a, setup.sino, setup.tomo,
-                              perf::machine("Theta"), LocalKernel::Buffered,
-                              {32, 256});
+  ShardedOperator::Options buffered_opt = kReduce;
+  buffered_opt.kernel = shard::LocalKernel::Buffered;
+  buffered_opt.buffer = {32, 256};
+  const ShardedOperator base(setup.a, setup.sino, setup.tomo, kReduce);
+  const ShardedOperator buffered(setup.a, setup.sino, setup.tomo,
+                                 buffered_opt);
   const auto x = testutil::random_vector(setup.a.num_cols, 91);
   const auto y = testutil::random_vector(setup.a.num_rows, 92);
   AlignedVector<real> y1(static_cast<std::size_t>(setup.a.num_rows));
@@ -103,9 +159,9 @@ TEST(DistOperator, PartialRowsGrowWithRanks) {
   const auto s1 = make_setup(1);
   const auto s4 = make_setup(4);
   const auto s16 = make_setup(16);
-  const DistOperator op1(s1.a, s1.sino, s1.tomo);
-  const DistOperator op4(s4.a, s4.sino, s4.tomo);
-  const DistOperator op16(s16.a, s16.sino, s16.tomo);
+  const ShardedOperator op1(s1.a, s1.sino, s1.tomo, kReduce);
+  const ShardedOperator op4(s4.a, s4.sino, s4.tomo, kReduce);
+  const ShardedOperator op16(s16.a, s16.sino, s16.tomo, kReduce);
   EXPECT_LE(op1.total_partial_rows(),
             static_cast<std::int64_t>(s1.a.num_rows));
   EXPECT_GT(op4.total_partial_rows(), op1.total_partial_rows());
@@ -116,23 +172,22 @@ TEST(DistOperator, PerRankMemoryShrinksWithRanks) {
   // The memory-scaling headline: per-rank footprint decreases with P.
   const auto s1 = make_setup(1);
   const auto s8 = make_setup(8);
-  const DistOperator op1(s1.a, s1.sino, s1.tomo);
-  const DistOperator op8(s8.a, s8.sino, s8.tomo);
+  const ShardedOperator op1(s1.a, s1.sino, s1.tomo, kReduce);
+  const ShardedOperator op8(s8.a, s8.sino, s8.tomo, kReduce);
   std::int64_t max8 = 0;
-  for (int r = 0; r < 8; ++r)
-    max8 = std::max(max8, op8.rank_memory_bytes(r));
-  EXPECT_LT(max8, op1.rank_memory_bytes(0));
+  for (int r = 0; r < 8; ++r) max8 = std::max(max8, op8.rank_bytes(r));
+  EXPECT_LT(max8, op1.rank_bytes(0));
 }
 
 TEST(DistOperator, TrafficMatrixConservation) {
   // Forward exchange: total sent elements == total partial rows.
   const auto setup = make_setup(4);
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const ShardedOperator op(setup.a, setup.sino, setup.tomo, kReduce);
   const auto x = testutil::random_vector(setup.a.num_cols, 74);
   AlignedVector<real> y(static_cast<std::size_t>(setup.a.num_rows));
   op.apply(x, y);
   std::int64_t total = 0;
-  for (const auto v : op.traffic_matrix()) total += v;
+  for (const auto v : op.comm().traffic_matrix()) total += v;
   EXPECT_EQ(total, op.total_partial_rows());
 }
 
@@ -140,8 +195,7 @@ TEST(DistOperator, SolverRunsUnchangedOnDistributedOperator) {
   // Plug-and-play: CGLS over the distributed operator equals CGLS over the
   // serial matrix.
   const auto setup = make_setup(6);
-  const DistOperator dist_op(setup.a, setup.sino, setup.tomo);
-
+  const ShardedOperator dist_op(setup.a, setup.sino, setup.tomo, kReduce);
   class SerialOp final : public solve::LinearOperator {
    public:
     explicit SerialOp(const sparse::CsrMatrix& a)
@@ -262,7 +316,8 @@ TEST(DistCompXct, SolverPlugAndPlay) {
 TEST(DistOperator, RejectsMismatchedPartitions) {
   const auto setup = make_setup(2);
   const DomainPartition bad(3, {0, 10, 20, setup.a.num_rows});
-  EXPECT_THROW(DistOperator(setup.a, bad, setup.tomo), InvariantError);
+  EXPECT_THROW(ShardedOperator(setup.a, bad, setup.tomo, kReduce),
+               InvariantError);
 }
 
 }  // namespace

@@ -87,7 +87,8 @@ TEST(Integration, DistributedVolumeReconstruction) {
   const auto g = spec.geometry();
   core::Config config;
   config.iterations = 6;
-  config.num_ranks = 4;
+  config.num_shards = 4;
+  config.shard_exchange = shard::Exchange::Reduce;
   const core::VolumeReconstructor volume(g, config);
   const auto result = volume.reconstruct(2, [&](int s) {
     return phantom::forward_project(g,
@@ -96,9 +97,9 @@ TEST(Integration, DistributedVolumeReconstruction) {
   });
   ASSERT_EQ(result.slices.size(), 2u);
   EXPECT_NE(result.slices[0], result.slices[1]);
-  const auto* dist = volume.slice_reconstructor().dist_op();
+  const auto* dist = volume.slice_reconstructor().shard_op();
   ASSERT_NE(dist, nullptr);
-  EXPECT_GT(dist->kernel_times().applies, 0);
+  EXPECT_GT(dist->stats().applies, 0);
 }
 
 TEST(Integration, FbpAndCgAgreeOnEasyData) {

@@ -428,6 +428,20 @@ TEST(OsSolve, ExtrasRequireOsSolver) {
                InvalidArgument);
 }
 
+TEST(OsSolve, StreamingRejectsShardedConfigNamingTheFlag) {
+  core::Config config;
+  config.solver = core::SolverKind::OsSirt;
+  config.num_shards = 2;
+  const auto f = make_fixture(config);
+  try {
+    core::StreamingReconstructor session(*f.recon);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --- Streaming ingest -------------------------------------------------------
 
 core::Config streaming_config() {

@@ -11,7 +11,7 @@ TEST(Partition, RangesCoverDomainWithoutOverlap) {
   const hilbert::Ordering ord({45, 32}, hilbert::CurveKind::Hilbert, 8);
   for (const int ranks : {1, 2, 3, 7, 16}) {
     const auto part = partition_by_tiles(ord, ranks);
-    EXPECT_EQ(part.num_ranks(), ranks);
+    EXPECT_EQ(part.num_parts(), ranks);
     EXPECT_EQ(part.total(), ord.size());
     idx_t covered = 0;
     for (int r = 0; r < ranks; ++r) {
@@ -25,7 +25,7 @@ TEST(Partition, RangesCoverDomainWithoutOverlap) {
 TEST(Partition, OwnerIsConsistentWithRanges) {
   const hilbert::Ordering ord({64, 64}, hilbert::CurveKind::Hilbert, 16);
   const auto part = partition_by_tiles(ord, 5);
-  for (int r = 0; r < part.num_ranks(); ++r) {
+  for (int r = 0; r < part.num_parts(); ++r) {
     if (part.size(r) == 0) continue;
     EXPECT_EQ(part.owner(part.begin(r)), r);
     EXPECT_EQ(part.owner(part.end(r) - 1), r);
@@ -38,7 +38,7 @@ TEST(Partition, CutsFallOnTileBoundaries) {
   const hilbert::Ordering ord({64, 64}, hilbert::CurveKind::Hilbert, 8);
   const auto part = partition_by_tiles(ord, 7);
   // Every internal cut must coincide with some tile start.
-  for (int r = 1; r < part.num_ranks(); ++r) {
+  for (int r = 1; r < part.num_parts(); ++r) {
     bool on_boundary = false;
     for (idx_t t = 0; t < ord.num_tiles(); ++t)
       if (ord.tile_range(t).first == part.begin(r)) on_boundary = true;
@@ -51,7 +51,7 @@ TEST(Partition, SubdomainsAreSpatiallyConnectedRegions) {
   // bounding box area stays within a small factor of its cell count.
   const hilbert::Ordering ord({64, 64}, hilbert::CurveKind::Hilbert, 8);
   const auto part = partition_by_tiles(ord, 8);
-  for (int r = 0; r < part.num_ranks(); ++r) {
+  for (int r = 0; r < part.num_parts(); ++r) {
     idx_t rmin = 64, rmax = 0, cmin = 64, cmax = 0;
     for (idx_t i = part.begin(r); i < part.end(r); ++i) {
       const Cell c = ord.cell(i);

@@ -199,13 +199,21 @@ TEST(Registry, EvictedOperatorRebuildsFromDiskTier) {
   EXPECT_EQ(s.disk_tier_hits, 1);
 }
 
-TEST(Registry, RejectsDistributedConfigs) {
+TEST(Registry, ServesReduceExchangeConfigs) {
+  // The paper's reduce exchange is a mode of the sharded operator, which
+  // has views and byte accounting like any other: it is cached, not
+  // rejected.
   const auto f = make_fixture(1);
   serve::OperatorRegistry registry(serve::RegistryOptions{});
-  core::Config distributed = f.config;
-  distributed.num_ranks = 4;
-  EXPECT_THROW((void)registry.acquire(f.geoms[0], distributed),
-               InvalidArgument);
+  core::Config reduce = f.config;
+  reduce.num_shards = 4;
+  reduce.shard_exchange = shard::Exchange::Reduce;
+  const auto lease = registry.acquire(f.geoms[0], reduce);
+  ASSERT_NE(lease.recon->shard_op(), nullptr);
+  EXPECT_EQ(lease.recon->shard_op()->exchange(), shard::Exchange::Reduce);
+  EXPECT_TRUE(registry.acquire(f.geoms[0], reduce).hit);
+  EXPECT_EQ(registry.stats().resident_bytes,
+            lease.recon->shard_op()->bytes());
 }
 
 // --- Server -----------------------------------------------------------------
@@ -377,14 +385,40 @@ TEST(Serve, SubmitValidatesInput) {
   AlignedVector<real> wrong(7, real{0});
   EXPECT_THROW((void)server.submit(f.geoms[0], f.config, wrong),
                InvalidArgument);
-  core::Config distributed = f.config;
-  distributed.num_ranks = 4;
-  EXPECT_THROW((void)server.submit(f.geoms[0], distributed, f.sinos[0]),
-               InvalidArgument);
   EXPECT_THROW((void)server.submit(f.geoms[0], f.config, f.sinos[0],
                                    {.deadline_seconds = -1.0}),
                InvalidArgument);
   EXPECT_THROW(serve::Server({.workers = 0}), InvalidArgument);
+}
+
+TEST(Serve, ReduceExchangeRequestMatchesReconstructorBitwise) {
+  const auto f = make_fixture(1);
+  core::Config reduce = f.config;
+  reduce.num_shards = 3;
+  reduce.shard_exchange = shard::Exchange::Reduce;
+  const auto expected =
+      core::Reconstructor(f.geoms[0], reduce).reconstruct(f.sinos[0]);
+  serve::Server server({.workers = 2});
+  const auto first = server.submit(f.geoms[0], reduce, f.sinos[0]);
+  const auto second = server.submit(f.geoms[0], reduce, f.sinos[0]);
+  for (const auto id : {first, second}) {
+    const auto r = server.wait(id);
+    ASSERT_EQ(r.status, serve::RequestStatus::Ok) << r.error;
+    ASSERT_EQ(r.image.size(), expected.image.size());
+    EXPECT_EQ(0, std::memcmp(r.image.data(), expected.image.data(),
+                             r.image.size() * sizeof(real)));
+  }
+  EXPECT_EQ(server.snapshot().shard.sharded_requests, 2);
+}
+
+TEST(LatencyHistogram, QuantilesNeverExceedObservedMax) {
+  // One 24.49 ms sample lands in the [16.4, 32.8) ms bucket; its upper
+  // edge is not a latency anything took.
+  serve::LatencyHistogram h;
+  h.record(24.49e-3);
+  EXPECT_LE(h.quantile(0.5), h.max_seconds());
+  EXPECT_LE(h.quantile(0.95), h.max_seconds());
+  EXPECT_GT(h.quantile(0.5), 0.0);
 }
 
 TEST(Serve, WaitConsumesExactlyOnce) {

@@ -45,7 +45,7 @@ TEST(PartitionAligned, CutsSnapToPartsizeAndCoverAllRows) {
   const idx_t partsize = 32;
   for (const int shards : {1, 2, 3, 4, 7}) {
     const auto part = partition_rows_aligned(a, shards, partsize);
-    EXPECT_EQ(part.num_ranks(), shards);
+    EXPECT_EQ(part.num_parts(), shards);
     EXPECT_EQ(part.begin(0), 0);
     EXPECT_EQ(part.end(shards - 1), a.num_rows);
     for (int p = 0; p + 1 < shards; ++p) {
@@ -462,21 +462,37 @@ TEST(ShardedReconstruction, OpkeyDistinguishesShardCounts) {
   // "-sh" suffix — so existing disk-cache stems stay valid.
   EXPECT_EQ(k1.find("-sh"), std::string::npos);
   EXPECT_NE(k2.find("-sh2"), std::string::npos);
+  // Reduce and Duplicate build different operators from the same shard
+  // count; only Reduce carries the exchange tag, so Duplicate key texts
+  // (and disk-cache stems) are unchanged. Reduce at P=1 is still sharded.
+  core::Config c2r = c2, c1r = c1;
+  c2r.shard_exchange = Exchange::Reduce;
+  c1r.shard_exchange = Exchange::Reduce;
+  const auto k2r = core::operator_key(e.g, c2r).text;
+  const auto k1r = core::operator_key(e.g, c1r).text;
+  EXPECT_NE(k2r, k2);
+  EXPECT_NE(k1r, k1);
+  EXPECT_EQ(k2.find("-xr"), std::string::npos);
+  EXPECT_NE(k2r.find("-sh2"), std::string::npos);
+  EXPECT_NE(k2r.find("-xr"), std::string::npos);
+  EXPECT_NE(k1r.find("-sh1"), std::string::npos);
+  EXPECT_EQ(core::operator_config(c2r).shard_exchange, Exchange::Reduce);
 }
 
 // ---------------------------------------------------------------------------
 // Typed unsupported-configuration rejections (Reconstructor + admission).
 
 TEST(UnsupportedConfig, DistributedPlusReducedPrecisionIsTyped) {
+  // Reduce at P=1 is the sharded family too (core::is_sharded).
   const EndToEnd e;
   core::Config config;
-  config.num_ranks = 2;
+  config.shard_exchange = Exchange::Reduce;
   config.precision = sparse::ValueStorage::Bf16;
   try {
     const core::Reconstructor recon(e.g, config);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
-    EXPECT_EQ(err.flag_a(), "--ranks");
+    EXPECT_EQ(err.flag_a(), "--shards");
     EXPECT_EQ(err.flag_b(), "--precision");
     EXPECT_NE(std::string(err.what()).find("unsupported configuration"),
               std::string::npos);
@@ -497,20 +513,13 @@ TEST(UnsupportedConfig, ShardedPlusReducedPrecisionIsTyped) {
   }
 }
 
-TEST(UnsupportedConfig, ShardedPlusDistributedIsTyped) {
-  const EndToEnd e;
-  core::Config config;
-  config.num_shards = 2;
-  config.num_ranks = 2;
-  EXPECT_THROW(core::Reconstructor(e.g, config), UnsupportedConfigError);
-}
-
 TEST(UnsupportedConfig, StillCatchableAsInvalidArgument) {
   // Existing catch sites classify caller errors via InvalidArgument; the
   // typed subclass must not change that.
   const EndToEnd e;
   core::Config config;
-  config.num_ranks = 2;
+  config.num_shards = 2;
+  config.shard_exchange = Exchange::Reduce;
   config.precision = sparse::ValueStorage::Bf16;
   EXPECT_THROW(core::Reconstructor(e.g, config), InvalidArgument);
 }
@@ -521,14 +530,14 @@ TEST(UnsupportedConfig, ServeAdmissionRejectsConflictsBeforeQueueing) {
   core::Config config;
   config.iterations = 2;
 
-  core::Config ranks_bf16 = config;
-  ranks_bf16.num_ranks = 2;
-  ranks_bf16.precision = sparse::ValueStorage::Bf16;
+  core::Config reduce_bf16 = config;
+  reduce_bf16.shard_exchange = Exchange::Reduce;
+  reduce_bf16.precision = sparse::ValueStorage::Bf16;
   try {
-    (void)server.submit(e.g, ranks_bf16, e.sino);
+    (void)server.submit(e.g, reduce_bf16, e.sino);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
-    EXPECT_EQ(err.flag_a(), "--ranks");
+    EXPECT_EQ(err.flag_a(), "--shards");
     EXPECT_EQ(err.flag_b(), "--precision");
   }
 
@@ -605,23 +614,124 @@ TEST(ShardedServe, RegistryCachesShardedOperatorsWithByteAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: per-solve kernel-time reset on the distributed operator.
+// The Reduce exchange.
+
+ShardedOperator::Options reduce_options(int shards, int group_size = 1,
+                                        int tiles = 0) {
+  ShardedOperator::Options opt;
+  opt.num_shards = shards;
+  opt.group_size = group_size;
+  opt.pipeline_tiles = tiles;
+  opt.exchange = Exchange::Reduce;
+  return opt;
+}
 
 TEST(DistKernelTimes, ResetClearsAccumulatedTimes) {
   const auto a = make_matrix();
   const dist::DomainPartition sino(2, {0, a.num_rows / 2, a.num_rows});
   const dist::DomainPartition tomo(2, {0, a.num_cols / 2, a.num_cols});
-  const dist::DistOperator op(a, sino, tomo);
+  const ShardedOperator op(a, sino, tomo, reduce_options(2));
   const auto x = testutil::random_vector(a.num_cols, 90);
   AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
   op.apply(x, y);
-  EXPECT_EQ(op.kernel_times().applies, 1);
-  EXPECT_GT(op.kernel_times().ap_seconds, 0.0);
-  op.reset_kernel_times();
-  EXPECT_EQ(op.kernel_times().applies, 0);
-  EXPECT_EQ(op.kernel_times().ap_seconds, 0.0);
+  EXPECT_EQ(op.stats().applies, 1);
+  EXPECT_GT(op.stats().compute_seconds, 0.0);
+  EXPECT_GT(op.stats().reduce_seconds, 0.0);
+  op.reset_stats();
+  EXPECT_EQ(op.stats().applies, 0);
+  EXPECT_EQ(op.stats().compute_seconds, 0.0);
+  EXPECT_EQ(op.stats().reduce_seconds, 0.0);
   op.apply(x, y);
-  EXPECT_EQ(op.kernel_times().applies, 1);
+  EXPECT_EQ(op.stats().applies, 1);
+}
+
+TEST(ReduceExchange, PipelineDepthDoesNotChangeBits) {
+  // Each (source, row) partial arrives once whatever the tiling, and owners
+  // sum by source, so the tile count cannot reorder a reduction.
+  const auto a = make_matrix();
+  const auto x = testutil::random_vector(a.num_cols, 86);
+  AlignedVector<real> reference;
+  for (const int tiles : {1, 2, 4}) {
+    const ShardedOperator op(a, reduce_options(3, 1, tiles));
+    AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
+    op.apply(x, y);
+    if (reference.empty()) reference = y;
+    EXPECT_TRUE(bitwise_equal(reference, y)) << "tiles=" << tiles;
+  }
+}
+
+TEST(ReduceExchange, TwoLevelMatchesFlat) {
+  // Proxies pre-sum their members' partials, which reassociates the
+  // reduction: both match the serial matrix within float tolerance, over
+  // the same partial rows.
+  const auto a = make_matrix();
+  const ShardedOperator flat(a, reduce_options(4, 1, 2));
+  const ShardedOperator grouped(a, reduce_options(4, 2, 2));
+  EXPECT_EQ(grouped.transpose_plan().rounds_per_tile, 2);
+  EXPECT_EQ(flat.total_partial_rows(), grouped.total_partial_rows());
+  const auto x = testutil::random_vector(a.num_cols, 87);
+  AlignedVector<real> y1(static_cast<std::size_t>(a.num_rows));
+  AlignedVector<real> y2(static_cast<std::size_t>(a.num_rows));
+  AlignedVector<real> y_ref(static_cast<std::size_t>(a.num_rows));
+  flat.apply(x, y1);
+  grouped.apply(x, y2);
+  sparse::spmv_reference(a, x, y_ref);
+  EXPECT_LT(testutil::rel_error(y1, y_ref), 1e-5);
+  EXPECT_LT(testutil::rel_error(y2, y_ref), 1e-5);
+}
+
+TEST(ReduceExchange, BlockApplyLanesAreBitwiseEqualToSingleApplies) {
+  const auto a = make_matrix();
+  for (const int group : {1, 2}) {
+    const ShardedOperator op(a, reduce_options(4, group));
+    const idx_t k = 3;
+    const auto n = a.num_cols;
+    const auto m = a.num_rows;
+    AlignedVector<real> x(static_cast<std::size_t>(n * k));
+    for (idx_t s = 0; s < k; ++s) {
+      const auto slice = testutil::random_vector(n, 88 + s);
+      std::copy(slice.begin(), slice.end(),
+                x.begin() + static_cast<std::ptrdiff_t>(s * n));
+    }
+    AlignedVector<real> y_block(static_cast<std::size_t>(m * k));
+    op.apply_block(x, y_block, k);
+    AlignedVector<real> y_single(static_cast<std::size_t>(m));
+    for (idx_t s = 0; s < k; ++s) {
+      op.apply(std::span<const real>(x).subspan(static_cast<std::size_t>(s * n),
+                                                static_cast<std::size_t>(n)),
+               y_single);
+      EXPECT_TRUE(bitwise_equal(
+          std::span<const real>(y_block).subspan(
+              static_cast<std::size_t>(s * m), static_cast<std::size_t>(m)),
+          y_single))
+          << "group " << group << " lane " << s;
+    }
+  }
+}
+
+TEST(ReduceExchange, ReconstructorUsesTileSnappedPartitions) {
+  // Reduce at P=1 is Fig 11's root point: the sharded family with one
+  // shard. Above that, cuts fall on pseudo-Hilbert tile boundaries.
+  const EndToEnd e;
+  core::Config config;
+  config.iterations = 3;
+  config.shard_exchange = Exchange::Reduce;
+  const core::Reconstructor root(e.g, config);
+  ASSERT_NE(root.shard_op(), nullptr);
+  EXPECT_EQ(root.serial_op(), nullptr);
+  EXPECT_EQ(root.shard_op()->num_shards(), 1);
+  config.num_shards = 3;
+  const core::Reconstructor recon(e.g, config);
+  const auto expected =
+      dist::partition_by_tiles(recon.sinogram_ordering(), 3);
+  const auto& part = recon.shard_op()->sino_partition();
+  for (int p = 0; p < 3; ++p) EXPECT_EQ(part.end(p), expected.end(p));
+  core::Config serial_config;
+  serial_config.iterations = 3;
+  const auto serial =
+      core::Reconstructor(e.g, serial_config).reconstruct(e.sino);
+  EXPECT_LT(testutil::rel_error(recon.reconstruct(e.sino).image, serial.image),
+            2e-2);
 }
 
 TEST(ShardedReconstruction, SolverRunsPlugAndPlay) {

@@ -67,7 +67,7 @@ TEST(ValidateConfig, DefaultConfigPasses) {
 
 TEST(ValidateConfig, ScalarRangeChecks) {
   core::Config config;
-  config.num_ranks = 0;
+  config.num_shards = 0;
   EXPECT_THROW(core::validate_config(config), InvalidArgument);
   config = core::Config{};
   config.num_shards = -1;
@@ -77,25 +77,13 @@ TEST(ValidateConfig, ScalarRangeChecks) {
 TEST(ValidateConfig, PairwiseConflictsNameTheFlags) {
   {
     core::Config config;
-    config.num_shards = 2;
-    config.num_ranks = 2;
-    try {
-      core::validate_config(config);
-      FAIL() << "expected UnsupportedConfigError";
-    } catch (const UnsupportedConfigError& e) {
-      EXPECT_EQ(e.flag_a(), "--shards");
-      EXPECT_EQ(e.flag_b(), "--ranks");
-    }
-  }
-  {
-    core::Config config;
-    config.num_ranks = 2;
+    config.shard_exchange = shard::Exchange::Reduce;
     config.precision = sparse::ValueStorage::Bf16;
     try {
       core::validate_config(config);
       FAIL() << "expected UnsupportedConfigError";
     } catch (const UnsupportedConfigError& e) {
-      EXPECT_EQ(e.flag_a(), "--ranks");
+      EXPECT_EQ(e.flag_a(), "--shards");
       EXPECT_EQ(e.flag_b(), "--precision");
     }
   }
