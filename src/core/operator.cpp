@@ -132,17 +132,23 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
           static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
       break;
     case KernelKind::Buffered:
+      // Each staging CSR is released as soon as its direction is built, so
+      // the build never holds A, A^T and both built directions at once.
       if (compressed) {
         s->cbuf_fwd = sparse::compress_buffered(
             sparse::build_buffered(a, buffer), precision);
+        a = sparse::CsrMatrix{};
         s->cbuf_bwd = sparse::compress_buffered(
             sparse::build_buffered(at, buffer), precision);
+        at = sparse::CsrMatrix{};
         s->regular_bytes =
             s->cbuf_fwd->regular_bytes() + s->cbuf_bwd->regular_bytes();
         break;
       }
       s->buf_fwd = sparse::build_buffered(a, buffer);
+      a = sparse::CsrMatrix{};
       s->buf_bwd = sparse::build_buffered(at, buffer);
+      at = sparse::CsrMatrix{};
       s->regular_bytes =
           (s->buf_fwd->nnz() + s->buf_bwd->nnz()) *
               static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real)) +

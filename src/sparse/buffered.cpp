@@ -44,25 +44,34 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
 
   // Pass 1 (parallel): per-partition footprint -> stage count and nnz, so
-  // global arrays can be sized and filled without synchronization.
+  // global arrays can be sized and filled without synchronization. A
+  // per-thread stamp of num_cols entries marks each column with the last
+  // partition that touched it, so only the distinct columns are collected
+  // and sorted (a few thousand per Hilbert-ordered partition, against tens
+  // of thousands of nonzeros).
   struct PartPlan {
     std::vector<idx_t> cols;  // sorted distinct columns of the partition
     nnz_t nnz = 0;
   };
   std::vector<PartPlan> plans(static_cast<std::size_t>(numparts));
-#pragma omp parallel for schedule(dynamic, 4)
-  for (idx_t p = 0; p < numparts; ++p) {
-    auto& plan = plans[static_cast<std::size_t>(p)];
-    const idx_t r0 = p * partsize;
-    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-    for (idx_t r = r0; r < r1; ++r) {
-      plan.nnz += a.displ[r + 1] - a.displ[r];
-      plan.cols.insert(plan.cols.end(), a.ind.begin() + a.displ[r],
-                       a.ind.begin() + a.displ[r + 1]);
+#pragma omp parallel
+  {
+    std::vector<idx_t> stamp(static_cast<std::size_t>(a.num_cols), -1);
+#pragma omp for schedule(dynamic, 4)
+    for (idx_t p = 0; p < numparts; ++p) {
+      auto& plan = plans[static_cast<std::size_t>(p)];
+      const idx_t r0 = p * partsize;
+      const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
+      plan.nnz = a.displ[r1] - a.displ[r0];
+      for (nnz_t k = a.displ[r0]; k < a.displ[r1]; ++k) {
+        idx_t& mark = stamp[static_cast<std::size_t>(a.ind[k])];
+        if (mark != p) {
+          mark = p;
+          plan.cols.push_back(a.ind[k]);
+        }
+      }
+      std::sort(plan.cols.begin(), plan.cols.end());
     }
-    std::sort(plan.cols.begin(), plan.cols.end());
-    plan.cols.erase(std::unique(plan.cols.begin(), plan.cols.end()),
-                    plan.cols.end());
   }
 
   // Prefix sums over partitions: stage counts, map sizes, nnz.
@@ -120,14 +129,20 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
         part_nnz_start[static_cast<std::size_t>(p)] +
         plans[static_cast<std::size_t>(p)].nnz;
 
-  // Pass 2 (parallel): fill map, displ, ind, val per partition. Each CSR
-  // entry is located once (binary search in the partition's sorted distinct
-  // columns gives its stage and 16-bit slot); a counting pass then lays the
-  // entries out stage-major.
+  // Pass 2 (parallel): fill map, displ, ind, val per partition. A
+  // per-thread dense slot table of num_cols entries maps each footprint
+  // column to its stage and 16-bit buffer slot (its position in the sorted
+  // distinct columns, split by buffsize); only the partition's own columns
+  // are written, and every entry then finds both with one load. A counting
+  // pass lays the entries out stage-major.
+  struct Slot {
+    idx_t stage;  // stage within the partition
+    idx_t slot;   // buffer-local index within that stage
+  };
 #pragma omp parallel
   {
-    std::vector<nnz_t> counts;       // per (stage, row) entry counts
-    std::vector<idx_t> entry_pos;    // per CSR entry: footprint position
+    std::vector<Slot> slot(static_cast<std::size_t>(a.num_cols));
+    std::vector<nnz_t> counts;  // per (stage, row) entry counts
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
       const auto& plan = plans[static_cast<std::size_t>(p)];
@@ -140,21 +155,21 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       // map: the partition's distinct columns, chunked by stage.
       std::copy(plan.cols.begin(), plan.cols.end(),
                 b.map.begin() + b.stagedispl[static_cast<std::size_t>(stage0)]);
+      const auto ncols = static_cast<idx_t>(plan.cols.size());
+      for (idx_t pos = 0; pos < ncols; ++pos) {
+        const idx_t col = plan.cols[static_cast<std::size_t>(pos)];
+        slot[static_cast<std::size_t>(col)] =
+            Slot{pos / buffsize, pos % buffsize};
+      }
 
-      // Locate every entry once: position in plan.cols determines stage
-      // (position / buffsize) and buffer slot (position % buffsize).
-      const nnz_t e0 = a.displ[r0];
-      entry_pos.resize(static_cast<std::size_t>(a.displ[r1] - e0));
       counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
       for (idx_t r = r0; r < r1; ++r) {
         const idx_t j = r - r0;
-        for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-          const auto it =
-              std::lower_bound(plan.cols.begin(), plan.cols.end(), a.ind[k]);
-          const auto pos = static_cast<idx_t>(it - plan.cols.begin());
-          entry_pos[static_cast<std::size_t>(k - e0)] = pos;
-          ++counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
-        }
+        for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k)
+          ++counts[static_cast<std::size_t>(
+                       slot[static_cast<std::size_t>(a.ind[k])].stage) *
+                       partsize +
+                   j];
       }
 
       // Stage-major prefix sum -> displ for every (stage, row) cell, plus
@@ -175,11 +190,9 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       for (idx_t r = r0; r < r1; ++r) {
         const idx_t j = r - r0;
         for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-          const idx_t pos = entry_pos[static_cast<std::size_t>(k - e0)];
-          nnz_t& cur =
-              counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
-          b.ind[static_cast<std::size_t>(cur)] =
-              static_cast<buf_idx_t>(pos % buffsize);
+          const Slot e = slot[static_cast<std::size_t>(a.ind[k])];
+          nnz_t& cur = counts[static_cast<std::size_t>(e.stage) * partsize + j];
+          b.ind[static_cast<std::size_t>(cur)] = static_cast<buf_idx_t>(e.slot);
           b.val[static_cast<std::size_t>(cur)] = a.val[k];
           ++cur;
         }

@@ -10,10 +10,13 @@
 
 namespace memxct::sparse {
 
-/// Returns A^T. Column counting is OpenMP-parallel with per-thread
-/// histograms reduced by scan; the placement pass walks rows in order so
-/// entries within each transposed row appear in increasing original-row
-/// order (and therefore sorted, preserving locality).
+/// Returns A^T. A counting sort over contiguous, nnz-balanced chunks of
+/// source rows, one per OpenMP thread: per-thread column histograms are
+/// scanned into per-thread placement cursors (thread i's entries of column
+/// c follow those of threads 0..i-1), and each thread then places its chunk
+/// in row order. Entries within each transposed row therefore appear in
+/// increasing original-row order (sorted, preserving locality), and the
+/// output is bitwise the same under any thread count.
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);
 
 /// The alternative Section 3.5.1 rejects: an atomic-cursor parallel

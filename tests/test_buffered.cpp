@@ -1,11 +1,20 @@
 // Tests for the multi-stage input-buffered SpMV (Listing 3, Section 3.3).
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
+#include <omp.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/error.hpp"
+#include "common/grid.hpp"
+#include "common/rng.hpp"
+#include "geometry/projector.hpp"
+#include "hilbert/ordering.hpp"
 #include "sparse/buffered.hpp"
+#include "sparse/transpose.hpp"
 #include "test_util.hpp"
 
 namespace memxct::sparse {
@@ -149,6 +158,172 @@ TEST(Buffered, HilbertLikeBandedMatrixFewStages) {
   const BufferedMatrix bm = build_buffered(a, {64, 256});
   // Each 64-row partition touches ≲ 64+2*16 distinct columns < 256.
   EXPECT_EQ(bm.num_stages(), bm.num_partitions());
+}
+
+// ---- bitwise parity with the sort-and-search construction ----------------
+
+/// The construction build_buffered replaced, kept as the parity reference:
+/// per partition, copy every nonzero's column, sort and deduplicate the copy,
+/// then place each entry by a binary search into the distinct columns.
+BufferedMatrix build_buffered_sort_and_search(const CsrMatrix& a,
+                                              const BufferConfig& config) {
+  BufferedMatrix b;
+  b.num_rows = a.num_rows;
+  b.num_cols = a.num_cols;
+  b.config = config;
+  const idx_t partsize = config.partsize;
+  const idx_t buffsize = config.buffsize;
+  const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
+
+  std::vector<std::vector<idx_t>> cols(static_cast<std::size_t>(numparts));
+  b.partdispl = {0};
+  b.stagedispl = {0};
+  for (idx_t p = 0; p < numparts; ++p) {
+    auto& c = cols[static_cast<std::size_t>(p)];
+    const idx_t r0 = p * partsize;
+    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
+    c.assign(a.ind.begin() + a.displ[r0], a.ind.begin() + a.displ[r1]);
+    std::sort(c.begin(), c.end());
+    c.erase(std::unique(c.begin(), c.end()), c.end());
+    const auto size = static_cast<idx_t>(c.size());
+    const idx_t stages = std::max<idx_t>(1, ceil_div(size, buffsize));
+    for (idx_t k = 0; k < stages; ++k) {
+      const idx_t nz = std::min<idx_t>(buffsize, size - k * buffsize);
+      b.stagenz.push_back(std::max<idx_t>(nz, 0));
+      b.stagedispl.push_back(b.stagedispl.back() + b.stagenz.back());
+    }
+    b.partdispl.push_back(b.partdispl.back() + stages);
+    b.map.insert(b.map.end(), c.begin(), c.end());
+  }
+  b.displ.assign(static_cast<std::size_t>(b.num_stages()) * partsize + 1, 0);
+  b.ind.resize(static_cast<std::size_t>(a.nnz()));
+  b.val.resize(static_cast<std::size_t>(a.nnz()));
+
+  nnz_t cursor = 0;
+  for (idx_t p = 0; p < numparts; ++p) {
+    const auto& c = cols[static_cast<std::size_t>(p)];
+    const auto slot_of = [&](idx_t col) {
+      return static_cast<idx_t>(std::lower_bound(c.begin(), c.end(), col) -
+                                c.begin());
+    };
+    const idx_t r0 = p * partsize;
+    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
+    const idx_t stage0 = b.partdispl[static_cast<std::size_t>(p)];
+    const idx_t stages = b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
+    std::vector<nnz_t> counts(static_cast<std::size_t>(stages) * partsize, 0);
+    for (idx_t r = r0; r < r1; ++r)
+      for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k)
+        ++counts[static_cast<std::size_t>(slot_of(a.ind[k]) / buffsize) *
+                     partsize +
+                 (r - r0)];
+    for (idx_t s = 0; s < stages; ++s)
+      for (idx_t j = 0; j < partsize; ++j) {
+        auto& count = counts[static_cast<std::size_t>(s) * partsize + j];
+        const nnz_t n = count;
+        count = cursor;
+        cursor += n;
+        b.displ[static_cast<std::size_t>(stage0 + s) * partsize + j + 1] =
+            cursor;
+      }
+    for (idx_t r = r0; r < r1; ++r)
+      for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
+        const idx_t pos = slot_of(a.ind[k]);
+        nnz_t& cur =
+            counts[static_cast<std::size_t>(pos / buffsize) * partsize +
+                   (r - r0)];
+        b.ind[static_cast<std::size_t>(cur)] =
+            static_cast<buf_idx_t>(pos % buffsize);
+        b.val[static_cast<std::size_t>(cur)] = a.val[k];
+        ++cur;
+      }
+  }
+  return b;
+}
+
+void expect_buffered_bitwise(const BufferedMatrix& got,
+                             const BufferedMatrix& want,
+                             const std::string& where) {
+  EXPECT_EQ(got.num_rows, want.num_rows) << where;
+  EXPECT_EQ(got.num_cols, want.num_cols) << where;
+  EXPECT_TRUE(testutil::same_bytes(got.partdispl, want.partdispl))
+      << "partdispl, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.stagedispl, want.stagedispl))
+      << "stagedispl, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.stagenz, want.stagenz))
+      << "stagenz, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.map, want.map))
+      << "map, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ))
+      << "displ, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind))
+      << "ind, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.val, want.val))
+      << "val, " << where;
+}
+
+/// Random matrix whose rows [empty_from, empty_to) have no entries, so whole
+/// partitions can be empty.
+CsrMatrix random_csr_with_empty_rows(idx_t rows, idx_t cols, double density,
+                                     idx_t empty_from, idx_t empty_to,
+                                     std::uint64_t seed) {
+  Rng rng(seed);
+  CsrBuilder b(rows, cols);
+  std::vector<std::pair<idx_t, real>> entries;
+  for (idx_t r = 0; r < rows; ++r) {
+    entries.clear();
+    if (r < empty_from || r >= empty_to)
+      for (idx_t c = 0; c < cols; ++c)
+        if (rng.uniform() < density)
+          entries.emplace_back(c, static_cast<real>(rng.uniform(-2.0, 2.0)));
+    b.set_row(r, entries);
+  }
+  return b.assemble();
+}
+
+/// Hilbert-ordered projection matrix (the operator's real layout).
+CsrMatrix hilbert_projection_matrix(idx_t angles, idx_t channels) {
+  const auto g = geometry::make_geometry(angles, channels);
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  return geometry::build_projection_matrix(g, sino, tomo);
+}
+
+TEST(BufferedBuild, MatchesSortAndSearchReferenceBitwise) {
+  const CsrMatrix traced = hilbert_projection_matrix(48, 32);
+  const struct {
+    const char* name;
+    CsrMatrix a;
+  } matrices[] = {
+      {"random", testutil::random_csr(300, 200, 0.05, 61)},
+      // Rows 40..103 empty: whole partitions at partsize <= 32, a partial
+      // empty one otherwise; 301 rows leave a last partial partition.
+      {"random-empty-rows",
+       random_csr_with_empty_rows(301, 150, 0.08, 40, 104, 62)},
+      {"empty", testutil::random_csr(37, 20, 0.0, 63)},
+      {"hilbert-forward", traced},
+      {"hilbert-transpose", transpose(traced)},
+  };
+  const BufferConfig configs[] = {
+      {128, 4096}, {64, 256}, {32, 64}, {16, 7}, {7, 3}, {1, 1}, {300, 65536},
+  };
+  const int saved = omp_get_max_threads();
+  for (const auto& m : matrices)
+    for (const auto& config : configs) {
+      const BufferedMatrix want = build_buffered_sort_and_search(m.a, config);
+      ASSERT_NO_THROW(want.validate());
+      for (const int threads : {1, 3}) {
+        omp_set_num_threads(threads);
+        const std::string where =
+            std::string(m.name) + " partsize=" +
+            std::to_string(config.partsize) +
+            " buffsize=" + std::to_string(config.buffsize) +
+            " threads=" + std::to_string(threads);
+        expect_buffered_bitwise(build_buffered(m.a, config), want, where);
+      }
+    }
+  omp_set_num_threads(saved);
 }
 
 }  // namespace

@@ -1,6 +1,12 @@
 // Tests for the scan-based order-preserving transposition (Section 3.5.1).
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <string>
+#include <vector>
+
+#include "geometry/projector.hpp"
+#include "hilbert/ordering.hpp"
 #include "sparse/transpose.hpp"
 #include "test_util.hpp"
 
@@ -132,6 +138,83 @@ TEST(Transpose, KnownSmallCase) {
   EXPECT_EQ(at.ind[1], 0);
   EXPECT_FLOAT_EQ(at.val[1], 2.0f);
   EXPECT_FLOAT_EQ(at.val[2], 3.0f);
+}
+
+/// Serial scan transpose: count columns, scan, then place every entry in
+/// ascending source-row order.
+CsrMatrix transpose_serial(const CsrMatrix& a) {
+  CsrMatrix t;
+  t.num_rows = a.num_cols;
+  t.num_cols = a.num_rows;
+  t.displ.assign(static_cast<std::size_t>(t.num_rows) + 1, 0);
+  for (nnz_t k = 0; k < a.nnz(); ++k)
+    ++t.displ[static_cast<std::size_t>(a.ind[k]) + 1];
+  for (idx_t c = 0; c < a.num_cols; ++c)
+    t.displ[static_cast<std::size_t>(c) + 1] +=
+        t.displ[static_cast<std::size_t>(c)];
+  t.ind.resize(static_cast<std::size_t>(a.nnz()));
+  t.val.resize(static_cast<std::size_t>(a.nnz()));
+  std::vector<nnz_t> cursor(t.displ.begin(), t.displ.end() - 1);
+  for (idx_t r = 0; r < a.num_rows; ++r)
+    for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
+      const nnz_t pos = cursor[static_cast<std::size_t>(a.ind[k])]++;
+      t.ind[static_cast<std::size_t>(pos)] = r;
+      t.val[static_cast<std::size_t>(pos)] = a.val[k];
+    }
+  return t;
+}
+
+/// Matrix with empty rows, empty columns and one row holding most of the
+/// nonzeros (so nnz-balanced row chunks collapse onto it).
+CsrMatrix skewed_csr() {
+  CsrBuilder b(12, 30);
+  std::vector<std::pair<idx_t, real>> heavy;
+  for (idx_t c = 0; c < 30; c += 2) heavy.emplace_back(c, 0.5f + c);
+  b.set_row(5, heavy);
+  const std::vector<std::pair<idx_t, real>> light{{4, 1.0f}, {10, 2.0f}};
+  b.set_row(1, light);
+  b.set_row(11, light);
+  return b.assemble();
+}
+
+TEST(Transpose, BitwiseInvariantAcrossThreadCounts) {
+  const auto g = geometry::make_geometry(24, 16);
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const struct {
+    const char* name;
+    CsrMatrix a;
+  } matrices[] = {
+      {"random-sparse", testutil::random_csr(90, 70, 0.02, 23)},
+      {"random", testutil::random_csr(64, 256, 0.1, 29)},
+      {"skewed", skewed_csr()},
+      {"fewer-rows-than-threads", testutil::random_csr(3, 5, 0.6, 31)},
+      {"one-row", testutil::random_csr(1, 9, 0.5, 37)},
+      {"no-rows", CsrBuilder(0, 4).assemble()},
+      {"empty", testutil::random_csr(6, 8, 0.0, 41)},
+      {"hilbert", geometry::build_projection_matrix(g, sino, tomo)},
+  };
+  const int saved = omp_get_max_threads();
+  for (const auto& m : matrices) {
+    const CsrMatrix want = transpose_serial(m.a);
+    for (const int threads : {1, 2, 3, 4, 7}) {
+      omp_set_num_threads(threads);
+      const CsrMatrix got = transpose(m.a);
+      const std::string where =
+          std::string(m.name) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(got.num_rows, want.num_rows) << where;
+      EXPECT_EQ(got.num_cols, want.num_cols) << where;
+      EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ))
+          << "displ, " << where;
+      EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind))
+          << "ind, " << where;
+      EXPECT_TRUE(testutil::same_bytes(got.val, want.val))
+          << "val, " << where;
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 }  // namespace

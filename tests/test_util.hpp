@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -64,6 +65,15 @@ inline double max_abs_diff(std::span<const real> a, std::span<const real> b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     m = std::max(m, std::abs(static_cast<double>(a[i]) - b[i]));
   return m;
+}
+
+/// True when two vectors hold the same elements byte for byte.
+template <class Vec>
+bool same_bytes(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(),
+                      a.size() * sizeof(typename Vec::value_type)) == 0);
 }
 
 /// Relative L2 error ||a-b|| / max(||b||, eps).
