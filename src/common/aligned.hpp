@@ -3,18 +3,37 @@
 // SpMV streams (val, ind, displ) are read with vector loads; 64-byte
 // alignment keeps those loads aligned and avoids false sharing between
 // per-thread output partitions.
+//
+// Construction contract: `AlignedVector<T> v(n)` and `v.resize(n)`
+// default-initialise trivial elements, i.e. leave them unwritten, so the
+// threads that fill a large build array are the first to touch its pages
+// (no serial zero-fill ahead of a parallel loop that overwrites it). Code
+// that needs zeros passes a value: `v(n, T{})`, `v.resize(n, T{})`,
+// `v.assign(n, T{})`. Under AddressSanitizer the unwritten elements are
+// filled with 0xFF bytes instead, so a read of an element nobody wrote
+// shows up as a NaN or an out-of-range index in the asan test run.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace memxct {
+
+/// True in AddressSanitizer builds, where count-only construction fills
+/// trivial elements with 0xFF bytes instead of leaving them unwritten.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kPoisonDefaultInit = true;
+#else
+inline constexpr bool kPoisonDefaultInit = false;
+#endif
 
 /// Test hook: process-wide count of AlignedAllocator heap allocations.
 /// The hot-path contract (apply() allocates nothing after operator
@@ -47,6 +66,16 @@ class AlignedAllocator {
   }
 
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  /// Default-initialises instead of value-initialising (see the header
+  /// comment); non-trivial types keep std::allocator_traits' construction.
+  template <class U>
+    requires std::is_trivially_default_constructible_v<U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+    if constexpr (kPoisonDefaultInit)
+      std::memset(static_cast<void*>(p), 0xFF, sizeof(U));
+  }
 
   template <class U>
   bool operator==(const AlignedAllocator<U>&) const noexcept {

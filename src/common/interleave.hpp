@@ -26,8 +26,9 @@ namespace memxct::common {
 /// Resizes `v` to hold `n` elements for each of `k` interleaved slices,
 /// padded up to a whole cache line so vector loads/stores on the last
 /// interleaved group never touch memory the vector does not own. Returns
-/// the padded element count. Padding elements are zero-initialized on
-/// growth (std::vector semantics), never read by the kernels.
+/// the padded element count. Elements added on growth, padding included,
+/// are explicitly zeroed (a count-only resize would leave them unwritten,
+/// see common/aligned.hpp); the kernels never read the padding.
 template <class T>
 std::size_t aligned_resize_for_simd(AlignedVector<T>& v, std::size_t n,
                                     idx_t k) {
@@ -35,7 +36,7 @@ std::size_t aligned_resize_for_simd(AlignedVector<T>& v, std::size_t n,
   constexpr std::size_t per_line = kCacheLineBytes / sizeof(T);
   const std::size_t wanted = n * static_cast<std::size_t>(k);
   const std::size_t padded = (wanted + per_line - 1) / per_line * per_line;
-  v.resize(padded);
+  v.resize(padded, T{});
   return padded;
 }
 

@@ -2,6 +2,7 @@
 // invariant checking.
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -170,6 +171,47 @@ TEST(Interleave, WidthOneIsIdentityLayout) {
   AlignedVector<real> back(n, -1.0f);
   common::deinterleave_slice(dst, 1, 0, back);
   EXPECT_EQ(0, std::memcmp(src.data(), back.data(), n * sizeof(real)));
+}
+
+TEST(Aligned, ValueFormsZeroAndCountOnlyFormsStayUnwritten) {
+  constexpr std::size_t n = 100;
+  const auto all_bytes_are = [](const auto& v, std::size_t from,
+                                unsigned char byte) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+    for (std::size_t i = from * sizeof(v[0]); i < v.size() * sizeof(v[0]);
+         ++i)
+      if (p[i] != byte) return false;
+    return true;
+  };
+
+  // Forms that take a value write it.
+  AlignedVector<float> filled(n, 0.0f);
+  AlignedVector<float> resized;
+  resized.resize(n, 0.0f);
+  AlignedVector<float> assigned;
+  assigned.assign(n, 0.0f);
+  EXPECT_TRUE(all_bytes_are(filled, 0, 0));
+  EXPECT_TRUE(all_bytes_are(resized, 0, 0));
+  EXPECT_TRUE(all_bytes_are(assigned, 0, 0));
+
+  // Count-only forms default-initialise trivial elements: nothing is written
+  // in a release build, and under AddressSanitizer every unwritten byte is
+  // 0xFF so a read-before-write surfaces in the asan test run.
+  AlignedVector<std::uint32_t> counted(n);
+  ASSERT_EQ(counted.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    counted[i] = static_cast<std::uint32_t>(i);
+  counted.resize(2 * n);
+  ASSERT_EQ(counted.size(), 2 * n);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counted[i], i);
+  if constexpr (kPoisonDefaultInit) {
+    EXPECT_TRUE(all_bytes_are(AlignedVector<float>(n), 0, 0xFF));
+    EXPECT_TRUE(all_bytes_are(counted, n, 0xFF));
+  }
+
+  // Non-trivial types keep value-initialisation.
+  const AlignedVector<std::complex<float>> complex_counted(n);
+  for (const auto& z : complex_counted) EXPECT_EQ(z, std::complex<float>{});
 }
 
 TEST(Interleave, AlignedResizeForSimd) {

@@ -1,7 +1,12 @@
 // Tests for projection-matrix construction in ordered index spaces.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geometry/projector.hpp"
 #include "geometry/siddon.hpp"
@@ -111,6 +116,75 @@ TEST(Projector, HilbertOrderingCompactsRowFootprints) {
     return total;
   };
   EXPECT_LT(total_lines(a_h), 0.8 * static_cast<double>(total_lines(a_nat)));
+}
+
+/// The tracer before its radix row sort: every row traced, mapped to
+/// ordered columns and sorted with std::sort, one ray at a time.
+sparse::CsrMatrix std_sort_reference(const Geometry& g,
+                                     const hilbert::Ordering& sino,
+                                     const hilbert::Ordering& tomo) {
+  sparse::CsrMatrix a;
+  a.num_rows = static_cast<idx_t>(g.sinogram_extent().size());
+  a.num_cols = static_cast<idx_t>(g.tomogram_extent().size());
+  a.displ.assign(static_cast<std::size_t>(a.num_rows) + 1, 0);
+  std::vector<std::pair<idx_t, real>> segments;
+  for (idx_t i = 0; i < a.num_rows; ++i) {
+    const Cell rc = sino.cell(i);
+    trace_ray(g, rc.row, rc.col, segments);
+    for (auto& seg : segments)
+      seg.first = tomo.to_ordered()[static_cast<std::size_t>(seg.first)];
+    std::sort(segments.begin(), segments.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [col, length] : segments) {
+      a.ind.push_back(col);
+      a.val.push_back(length);
+    }
+    a.displ[static_cast<std::size_t>(i) + 1] =
+        static_cast<nnz_t>(a.ind.size());
+  }
+  return a;
+}
+
+TEST(Projector, RadixRowSortMatchesStdSortReferenceBitwise) {
+  const int saved = omp_get_max_threads();
+  // n = 1 is a one-pixel image (zero key bits); 16 and 64 put the key width
+  // exactly on a power of two, 7 and 33 just off it.
+  for (const idx_t n : {1, 7, 16, 33, 64}) {
+    const Geometry geometries[] = {
+        make_geometry(13, n),
+        make_limited_angle_geometry(10, n, 2.0),
+    };
+    for (const Geometry& g : geometries)
+      for (const auto kind :
+           {hilbert::CurveKind::Hilbert, hilbert::CurveKind::Morton,
+            hilbert::CurveKind::RowMajor}) {
+        const hilbert::Ordering sino(g.sinogram_extent(), kind);
+        const hilbert::Ordering tomo(g.tomogram_extent(), kind);
+        const sparse::CsrMatrix want = std_sort_reference(g, sino, tomo);
+        for (const int threads : {1, 2, 4}) {
+          omp_set_num_threads(threads);
+          const sparse::CsrMatrix got = build_projection_matrix(g, sino, tomo);
+          const std::string where =
+              "n=" + std::to_string(n) + " angles=" +
+              std::to_string(g.num_angles) + " " + hilbert::to_string(kind) +
+              " threads=" + std::to_string(threads);
+          EXPECT_EQ(got.num_rows, want.num_rows) << where;
+          EXPECT_EQ(got.num_cols, want.num_cols) << where;
+          EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ))
+              << "displ, " << where;
+          EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind))
+              << "ind, " << where;
+          EXPECT_TRUE(testutil::same_bytes(got.val, want.val))
+              << "val, " << where;
+          bool ascending = true;
+          for (idx_t r = 0; r < got.num_rows; ++r)
+            for (nnz_t k = got.displ[r] + 1; k < got.displ[r + 1]; ++k)
+              ascending = ascending && got.ind[k - 1] < got.ind[k];
+          EXPECT_TRUE(ascending) << "rows not strictly ascending, " << where;
+        }
+      }
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(Projector, MismatchedOrderingExtentsRejected) {
