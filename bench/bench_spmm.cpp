@@ -3,8 +3,9 @@
 // per K slices converts bandwidth into throughput.
 //
 // For each family the K=1 row times the actual single-RHS kernel (the
-// production baseline — strict scalar inner loop), and K>1 rows time the
-// interleaved block kernel from sparse/spmm.hpp. Reported per row:
+// production baseline — row-order sums, SIMD across rows for the buffered
+// layout), and K>1 rows time the interleaved block kernel from
+// sparse/spmm.hpp. Reported per row:
 //
 //   * seconds per apply (the whole K-wide pass),
 //   * slices/s = K / seconds — the throughput the batch engine buys,

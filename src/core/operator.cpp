@@ -149,11 +149,7 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
       a = sparse::CsrMatrix{};
       s->buf_bwd = sparse::build_buffered(at, buffer);
       at = sparse::CsrMatrix{};
-      s->regular_bytes =
-          (s->buf_fwd->nnz() + s->buf_bwd->nnz()) *
-              static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real)) +
-          (s->buf_fwd->total_staged() + s->buf_bwd->total_staged()) *
-              static_cast<std::int64_t>(sizeof(idx_t));
+      s->regular_bytes = s->buf_fwd->bytes() + s->buf_bwd->bytes();
       break;
   }
 

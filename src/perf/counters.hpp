@@ -26,9 +26,10 @@ struct RegularBytes {
 /// Byte costs are split into value and index components and carried as
 /// doubles because the compressed layouts (sparse/compressed.hpp) have
 /// FRACTIONAL per-FMA index costs: a varint stream's average bytes/entry is
-/// measured from the built structure, not fixed by a type width. The fp32
-/// layouts keep their historical integer costs (8 B/FMA baseline CSR,
-/// 6 B/FMA buffered) through the defaults below.
+/// measured from the built structure, not fixed by a type width. The
+/// padded fp32 layouts charge their streamed padding the same way: the
+/// buffered layout's 6 B/FMA scales by its stored-to-real entry ratio
+/// (sparse/buffered.hpp). Baseline CSR keeps 8 B/FMA via the defaults.
 struct KernelWork {
   nnz_t nnz = 0;           ///< Nonzeros processed (FMAs).
   nnz_t staged_words = 0;  ///< Buffer-staging loads (map reads + x gathers).

@@ -14,16 +14,6 @@ namespace memxct::shard {
 
 namespace {
 
-std::int64_t buffered_bytes(const sparse::BufferedMatrix& b) {
-  return static_cast<std::int64_t>(b.partdispl.size() * sizeof(idx_t)) +
-         static_cast<std::int64_t>(b.stagedispl.size() * sizeof(nnz_t)) +
-         static_cast<std::int64_t>(b.stagenz.size() * sizeof(idx_t)) +
-         static_cast<std::int64_t>(b.map.size() * sizeof(idx_t)) +
-         static_cast<std::int64_t>(b.displ.size() * sizeof(nnz_t)) +
-         static_cast<std::int64_t>(b.ind.size() * sizeof(buf_idx_t)) +
-         static_cast<std::int64_t>(b.val.size() * sizeof(real));
-}
-
 std::int64_t plan_rank_bytes(const ExchangePlan& plan, int p) {
   const auto sp = static_cast<std::size_t>(p);
   std::int64_t b = 0;
@@ -226,13 +216,13 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
       for (const TileBlock& block : side->tiles[sp]) {
         b += block.local.regular_bytes();
         if (opt.kernel == LocalKernel::Buffered)
-          b += buffered_bytes(block.buffered);
+          b += block.buffered.bytes();
       }
       b += plan_rank_bytes(side->plan, p);
     }
     if (reduce) {
       b += st.reduce[sp].local.regular_bytes() +
-           buffered_bytes(st.reduce[sp].buffered);
+           st.reduce[sp].buffered.bytes();
       for (const auto& round : st.reverse_displ)
         b += static_cast<std::int64_t>(round[sp].size() * sizeof(nnz_t));
     }

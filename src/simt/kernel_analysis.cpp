@@ -105,25 +105,22 @@ BufferedAccessReport analyze_buffered_spmv(const sparse::BufferedMatrix& m,
       }
 
       // Compute: lanes = consecutive rows of the partition; at element
-      // step e, each lane reads buffer word ind[displ[row] + e].
-      const nnz_t dstart = static_cast<nnz_t>(stage) * m.config.partsize;
+      // step e, each lane reads buffer word ind of its row run's entry e.
       for (idx_t warp0 = 0; warp0 < m.config.partsize;
            warp0 += config.warp_size) {
         const idx_t lanes =
             std::min<idx_t>(config.warp_size, m.config.partsize - warp0);
         // Longest lane bounds the step count for this warp.
-        nnz_t max_len = 0;
-        for (idx_t lane = 0; lane < lanes; ++lane) {
-          const auto cell = static_cast<std::size_t>(dstart + warp0 + lane);
-          max_len = std::max(max_len, m.displ[cell + 1] - m.displ[cell]);
-        }
-        for (nnz_t e = 0; e < max_len; ++e) {
+        idx_t max_len = 0;
+        for (idx_t lane = 0; lane < lanes; ++lane)
+          max_len = std::max(max_len, m.row_run(stage, warp0 + lane).len);
+        for (idx_t e = 0; e < max_len; ++e) {
           words.clear();
           for (idx_t lane = 0; lane < lanes; ++lane) {
-            const auto cell = static_cast<std::size_t>(dstart + warp0 + lane);
-            if (m.displ[cell] + e < m.displ[cell + 1])
+            const sparse::RowRun run = m.row_run(stage, warp0 + lane);
+            if (e < run.len)
               words.push_back(static_cast<idx_t>(
-                  m.ind[static_cast<std::size_t>(m.displ[cell] + e)]));
+                  m.ind[static_cast<std::size_t>(run.at(e))]));
           }
           if (words.empty()) continue;
           const int degree = bank_conflict_degree(words, config);

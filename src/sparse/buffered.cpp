@@ -1,12 +1,26 @@
 #include "sparse/buffered.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/buffered_kernel.hpp"
 
 namespace memxct::sparse {
+
+nnz_t BufferedMatrix::nnz() const noexcept {
+  return std::accumulate(rowlen.begin(), rowlen.end(), nnz_t{0});
+}
+
+std::int64_t BufferedMatrix::bytes() const noexcept {
+  return static_cast<std::int64_t>(
+      partdispl.size() * sizeof(idx_t) + stagedispl.size() * sizeof(nnz_t) +
+      stagenz.size() * sizeof(idx_t) + map.size() * sizeof(idx_t) +
+      groupdispl.size() * sizeof(nnz_t) + rowlen.size() * sizeof(idx_t) +
+      ind.size() * sizeof(buf_idx_t) + val.size() * sizeof(real));
+}
 
 void BufferedMatrix::validate() const {
   MEMXCT_CHECK(config.partsize > 0);
@@ -23,11 +37,34 @@ void BufferedMatrix::validate() const {
                  stagedispl[static_cast<std::size_t>(s) + 1]);
   }
   for (const idx_t m : map) MEMXCT_CHECK(m >= 0 && m < num_cols);
-  MEMXCT_CHECK(displ.size() ==
-               static_cast<std::size_t>(num_stages()) * config.partsize + 1);
-  MEMXCT_CHECK(displ.front() == 0 &&
-               displ.back() == static_cast<nnz_t>(ind.size()));
+  const idx_t groups = num_groups();
+  const auto stages = static_cast<std::size_t>(num_stages());
+  MEMXCT_CHECK(rowlen.size() ==
+               stages * static_cast<std::size_t>(config.partsize));
+  MEMXCT_CHECK(groupdispl.size() ==
+               stages * static_cast<std::size_t>(groups) + 1);
+  MEMXCT_CHECK(groupdispl.front() == 0 &&
+               groupdispl.back() == static_cast<nnz_t>(ind.size()));
   MEMXCT_CHECK(ind.size() == val.size());
+  // Every group is exactly as wide as its longest row in that stage.
+  for (std::size_t s = 0; s < stages; ++s)
+    for (idx_t g = 0; g < groups; ++g) {
+      const std::size_t cell = s * static_cast<std::size_t>(groups) +
+                               static_cast<std::size_t>(g);
+      const idx_t rows = group_rows(g);
+      const nnz_t size = groupdispl[cell + 1] - groupdispl[cell];
+      MEMXCT_CHECK_MSG(size >= 0 && size % rows == 0,
+                       "group size is not a whole number of columns");
+      idx_t width = 0;
+      for (idx_t r = 0; r < rows; ++r) {
+        const idx_t len =
+            row_run(static_cast<idx_t>(s), g * kSliceRows + r).len;
+        MEMXCT_CHECK(len >= 0 && len <= stagenz[s]);
+        width = std::max(width, len);
+      }
+      MEMXCT_CHECK_MSG(size / rows == width,
+                       "group is not padded to its longest row");
+    }
 }
 
 BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
@@ -42,16 +79,26 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   const idx_t partsize = config.partsize;
   const idx_t buffsize = config.buffsize;
   const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
+  const idx_t groups = b.num_groups();
 
-  // Pass 1 (parallel): per-partition footprint -> stage count and nnz, so
-  // global arrays can be sized and filled without synchronization. A
-  // per-thread stamp of num_cols entries marks each column with the last
-  // partition that touched it, so only the distinct columns are collected
-  // and sorted (a few thousand per Hilbert-ordered partition, against tens
-  // of thousands of nonzeros).
+  // Width of group g of a partition-local stage: its longest row.
+  const auto group_width = [&b, partsize](const idx_t* rowlen, idx_t s,
+                                          idx_t g) {
+    const idx_t* const len =
+        rowlen + static_cast<std::size_t>(s) * partsize + g * kSliceRows;
+    return *std::max_element(len, len + b.group_rows(g));
+  };
+
+  // Pass 1 (parallel): per-partition footprint, per-(stage, row) entry
+  // counts and padded size, so global arrays can be sized and filled
+  // without synchronization. A per-thread stamp of num_cols entries marks
+  // each column with the last partition that touched it, so only the
+  // distinct columns are collected and sorted (a few thousand per
+  // Hilbert-ordered partition, against tens of thousands of nonzeros).
   struct PartPlan {
-    std::vector<idx_t> cols;  // sorted distinct columns of the partition
-    nnz_t nnz = 0;
+    std::vector<idx_t> cols;    // sorted distinct columns of the partition
+    std::vector<idx_t> rowlen;  // per (stage, row) entry counts
+    nnz_t padded = 0;           // stored entries, padding included
   };
   std::vector<PartPlan> plans(static_cast<std::size_t>(numparts));
 #pragma omp parallel
@@ -62,7 +109,6 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       auto& plan = plans[static_cast<std::size_t>(p)];
       const idx_t r0 = p * partsize;
       const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-      plan.nnz = a.displ[r1] - a.displ[r0];
       for (nnz_t k = a.displ[r0]; k < a.displ[r1]; ++k) {
         idx_t& mark = stamp[static_cast<std::size_t>(a.ind[k])];
         if (mark != p) {
@@ -71,31 +117,58 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
         }
       }
       std::sort(plan.cols.begin(), plan.cols.end());
+      const idx_t stages = std::max<idx_t>(
+          1, ceil_div(static_cast<idx_t>(plan.cols.size()), buffsize));
+      plan.rowlen.assign(static_cast<std::size_t>(stages) * partsize, 0);
+      // A CSR row is column-sorted, so its entries of stage s are the run
+      // between the first columns of stages s and s + 1: two binary
+      // searches per stage, not a pass over the entries.
+      for (idx_t r = r0; r < r1; ++r) {
+        const idx_t* run = a.ind.data() + a.displ[r];
+        const idx_t* const end = a.ind.data() + a.displ[r + 1];
+        for (idx_t s = 0; s < stages; ++s) {
+          const idx_t* const next =
+              s + 1 < stages
+                  ? std::lower_bound(
+                        run, end,
+                        plan.cols[static_cast<std::size_t>(s + 1) * buffsize])
+                  : end;
+          plan.rowlen[static_cast<std::size_t>(s) * partsize + (r - r0)] =
+              static_cast<idx_t>(next - run);
+          run = next;
+        }
+      }
+      for (idx_t s = 0; s < stages; ++s)
+        for (idx_t g = 0; g < groups; ++g)
+          plan.padded += static_cast<nnz_t>(
+                             group_width(plan.rowlen.data(), s, g)) *
+                         b.group_rows(g);
     }
   }
 
-  // Prefix sums over partitions: stage counts, map sizes, nnz.
+  // Prefix sums over partitions: stage counts, map sizes, padded entries.
   b.partdispl.resize(static_cast<std::size_t>(numparts) + 1);
   b.partdispl[0] = 0;
+  std::vector<nnz_t> part_start(static_cast<std::size_t>(numparts) + 1, 0);
   nnz_t total_map = 0;
-  nnz_t total_nnz = 0;
   for (idx_t p = 0; p < numparts; ++p) {
     const auto& plan = plans[static_cast<std::size_t>(p)];
-    const idx_t stages = std::max<idx_t>(
-        1, ceil_div(static_cast<idx_t>(plan.cols.size()), buffsize));
+    const auto stages = static_cast<idx_t>(plan.rowlen.size()) / partsize;
     b.partdispl[static_cast<std::size_t>(p) + 1] =
         b.partdispl[static_cast<std::size_t>(p)] + stages;
     total_map += static_cast<nnz_t>(plan.cols.size());
-    total_nnz += plan.nnz;
+    part_start[static_cast<std::size_t>(p) + 1] =
+        part_start[static_cast<std::size_t>(p)] + plan.padded;
   }
   const idx_t total_stages = b.partdispl.back();
 
   b.stagedispl.resize(static_cast<std::size_t>(total_stages) + 1);
   b.stagenz.resize(static_cast<std::size_t>(total_stages));
   b.map.resize(static_cast<std::size_t>(total_map));
-  b.displ.assign(static_cast<std::size_t>(total_stages) * partsize + 1, 0);
-  b.ind.resize(static_cast<std::size_t>(total_nnz));
-  b.val.resize(static_cast<std::size_t>(total_nnz));
+  b.groupdispl.resize(static_cast<std::size_t>(total_stages) * groups + 1);
+  b.rowlen.resize(static_cast<std::size_t>(total_stages) * partsize);
+  b.ind.resize(static_cast<std::size_t>(part_start.back()));
+  b.val.resize(static_cast<std::size_t>(part_start.back()));
 
   // Stage starts into map: stage s of partition p holds the s-th buffsize
   // chunk of the partition's distinct columns.
@@ -121,28 +194,26 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
     MEMXCT_CHECK(s == total_stages);
   }
 
-  // Per-partition nnz starts (stage-major global layout groups each
-  // partition's stages contiguously, so a partition's entries are one run).
-  std::vector<nnz_t> part_nnz_start(static_cast<std::size_t>(numparts) + 1, 0);
-  for (idx_t p = 0; p < numparts; ++p)
-    part_nnz_start[static_cast<std::size_t>(p) + 1] =
-        part_nnz_start[static_cast<std::size_t>(p)] +
-        plans[static_cast<std::size_t>(p)].nnz;
-
-  // Pass 2 (parallel): fill map, displ, ind, val per partition. A
-  // per-thread dense slot table of num_cols entries maps each footprint
-  // column to its stage and 16-bit buffer slot (its position in the sorted
-  // distinct columns, split by buffsize); only the partition's own columns
-  // are written, and every entry then finds both with one load. A counting
-  // pass lays the entries out stage-major.
+  // Pass 2 (parallel): fill map, rowlen, groupdispl, ind and val per
+  // partition. A per-thread dense slot table of num_cols entries maps each
+  // footprint column to its stage and 16-bit buffer slot (its position in
+  // the sorted distinct columns, split by buffsize); only the partition's
+  // own columns are written, and every entry then finds both with one
+  // load. Each (stage, group) cell is a column-major block of width x rows
+  // entries, so a row's consecutive entries are group_rows apart; a
+  // per-(stage, row) cursor holds the position of the row's next entry.
+  // CSR rows are column-sorted, so a row's entries in one stage arrive in
+  // ascending slot order. Every pad entry is then written explicitly as
+  // slot 0, value 0.
   struct Slot {
     idx_t stage;  // stage within the partition
     idx_t slot;   // buffer-local index within that stage
   };
+  b.groupdispl[0] = 0;
 #pragma omp parallel
   {
     std::vector<Slot> slot(static_cast<std::size_t>(a.num_cols));
-    std::vector<nnz_t> counts;  // per (stage, row) entry counts
+    std::vector<nnz_t> next;  // per (stage, row): next entry position
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
       const auto& plan = plans[static_cast<std::size_t>(p)];
@@ -152,57 +223,60 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       const idx_t stages =
           b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
 
-      // map: the partition's distinct columns, chunked by stage.
       std::copy(plan.cols.begin(), plan.cols.end(),
                 b.map.begin() + b.stagedispl[static_cast<std::size_t>(stage0)]);
+      std::copy(plan.rowlen.begin(), plan.rowlen.end(),
+                b.rowlen.begin() +
+                    static_cast<std::ptrdiff_t>(stage0) * partsize);
       const auto ncols = static_cast<idx_t>(plan.cols.size());
-      for (idx_t pos = 0; pos < ncols; ++pos) {
-        const idx_t col = plan.cols[static_cast<std::size_t>(pos)];
-        slot[static_cast<std::size_t>(col)] =
-            Slot{pos / buffsize, pos % buffsize};
-      }
+      for (idx_t s = 0, pos = 0; pos < ncols; ++s)
+        for (idx_t i = 0; i < buffsize && pos < ncols; ++i, ++pos)
+          slot[static_cast<std::size_t>(
+              plan.cols[static_cast<std::size_t>(pos)])] = Slot{s, i};
 
-      counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
-      for (idx_t r = r0; r < r1; ++r) {
-        const idx_t j = r - r0;
-        for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k)
-          ++counts[static_cast<std::size_t>(
-                       slot[static_cast<std::size_t>(a.ind[k])].stage) *
-                       partsize +
-                   j];
-      }
-
-      // Stage-major prefix sum -> displ for every (stage, row) cell, plus
-      // per-cell cursors for placement.
-      nnz_t cursor = part_nnz_start[static_cast<std::size_t>(p)];
+      next.resize(plan.rowlen.size());
+      nnz_t at = part_start[static_cast<std::size_t>(p)];
       for (idx_t s = 0; s < stages; ++s)
-        for (idx_t j = 0; j < partsize; ++j) {
-          const auto cell = static_cast<std::size_t>(stage0 + s) * partsize + j;
-          const nnz_t count = counts[static_cast<std::size_t>(s) * partsize + j];
-          counts[static_cast<std::size_t>(s) * partsize + j] = cursor;
-          cursor += count;
-          b.displ[cell + 1] = cursor;
+        for (idx_t g = 0; g < groups; ++g) {
+          const idx_t j0 = g * kSliceRows;
+          const idx_t rows = b.group_rows(g);
+          for (idx_t r = 0; r < rows; ++r)
+            next[static_cast<std::size_t>(s) * partsize + j0 + r] = at + r;
+          at += static_cast<nnz_t>(group_width(plan.rowlen.data(), s, g)) *
+                rows;
+          b.groupdispl[(static_cast<std::size_t>(stage0) + s) * groups + g +
+                       1] = at;
         }
-      MEMXCT_CHECK(cursor == part_nnz_start[static_cast<std::size_t>(p) + 1]);
+      MEMXCT_CHECK(at == part_start[static_cast<std::size_t>(p) + 1]);
 
-      // Placement: CSR rows are column-sorted, so entries of one (stage,
-      // row) cell arrive in ascending slot order.
       for (idx_t r = r0; r < r1; ++r) {
         const idx_t j = r - r0;
+        const idx_t stride = b.group_rows(j / kSliceRows);
         for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
           const Slot e = slot[static_cast<std::size_t>(a.ind[k])];
-          nnz_t& cur = counts[static_cast<std::size_t>(e.stage) * partsize + j];
-          b.ind[static_cast<std::size_t>(cur)] = static_cast<buf_idx_t>(e.slot);
-          b.val[static_cast<std::size_t>(cur)] = a.val[k];
-          ++cur;
+          nnz_t& pos = next[static_cast<std::size_t>(e.stage) * partsize + j];
+          b.ind[static_cast<std::size_t>(pos)] = static_cast<buf_idx_t>(e.slot);
+          b.val[static_cast<std::size_t>(pos)] = a.val[k];
+          pos += stride;
         }
       }
+      for (idx_t s = 0; s < stages; ++s)
+        for (idx_t g = 0; g < groups; ++g) {
+          const idx_t j0 = g * kSliceRows;
+          const idx_t rows = b.group_rows(g);
+          const nnz_t end =
+              b.groupdispl[(static_cast<std::size_t>(stage0) + s) * groups +
+                           g + 1];
+          for (idx_t j = j0; j < j0 + rows; ++j)
+            for (nnz_t pos = next[static_cast<std::size_t>(s) * partsize + j];
+                 pos < end; pos += rows) {
+              b.ind[static_cast<std::size_t>(pos)] = 0;
+              b.val[static_cast<std::size_t>(pos)] = 0;
+            }
+        }
     }
   }
 
-  // Stitch displ starts across partition boundaries: displ[cell+1] was set
-  // everywhere; displ[0] = 0 by construction, and every other start is the
-  // previous cell's end, so the array is already consistent.
   b.validate();
   return b;
 }
@@ -211,65 +285,22 @@ void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
   MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  const idx_t partsize = a.config.partsize;
-  const idx_t buffsize = a.config.buffsize;
-  const idx_t numparts = a.num_partitions();
-  const idx_t num_rows = a.num_rows;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-
-#pragma omp parallel
-  {
-    // Listing 3's stack arrays, hoisted to per-thread scratch because sizes
-    // are runtime tuning parameters.
-    AlignedVector<real> input(static_cast<std::size_t>(buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(partsize));
-#pragma omp for schedule(dynamic)
-    for (idx_t part = 0; part < numparts; ++part) {
-      std::fill(output.begin(), output.end(), real{0});
-      for (idx_t stage = partdispl[part]; stage < partdispl[part + 1];
-           ++stage) {
-        // Staging: gather this stage's footprint into the L1 buffer.
-        const nnz_t mstart = stagedispl[stage];
-        const idx_t nz = stagenz[stage];
-#pragma omp simd
-        for (idx_t i = 0; i < nz; ++i) input[i] = xp[map[mstart + i]];
-        // Compute: each partition row consumes its run for this stage.
-        const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-        for (idx_t j = 0; j < partsize; ++j) {
-          // Strict scalar accumulation order (no simd reduction): the
-          // multi-RHS kernels (sparse/spmm.hpp) promise per-slice results
-          // bitwise equal to this kernel, which only holds if this sum is
-          // not reassociated. SIMD throughput is recovered across slices
-          // on the block path instead of across nonzeros here.
-          real acc = 0;
-          for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-            acc += input[ind[i]] * val[i];
-          output[j] += acc;
-        }
-      }
-      // Tail guard hoisted out of the store loop: full partitions take the
-      // branchless full-width path, only the last partition truncates.
-      const idx_t rstart = part * partsize;
-      const idx_t rows_here = std::min<idx_t>(partsize, num_rows - rstart);
-#pragma omp simd
-      for (idx_t i = 0; i < rows_here; ++i) yp[rstart + i] = output[i];
-    }
-  }
+  detail::apply_dynamic(a, 1, x.data(), y.data());
 }
 
 perf::KernelWork buffered_work(const BufferedMatrix& a) {
   perf::KernelWork w;
   w.nnz = a.nnz();
   w.staged_words = a.total_staged();
-  w.index_bytes_per_fma = sizeof(buf_idx_t);
+  // Padding is streamed like real entries: its index and value bytes are
+  // charged to the real FMAs, as the compressed layouts charge their
+  // measured stream widths.
+  const double padding =
+      w.nnz > 0 ? static_cast<double>(a.padded_nnz()) /
+                      static_cast<double>(w.nnz)
+                : 1.0;
+  w.index_bytes_per_fma = sizeof(buf_idx_t) * padding;
+  w.value_bytes_per_fma = sizeof(real) * padding;
   return w;
 }
 

@@ -256,11 +256,16 @@ CompressedBuffered compress_buffered(const BufferedMatrix& b,
   c.partdispl = b.partdispl;
   c.stagedispl = b.stagedispl;
   c.stagenz = b.stagenz;
-  c.displ.assign(b.displ.begin(), b.displ.end());
-  quantize_values({b.val.data(), b.val.size()}, storage, c.val16, c.val32);
+  // The compressed layout keeps one unpadded run per (stage, row) cell,
+  // stage-major: displ is the prefix sum of rowlen.
+  c.displ.resize(b.rowlen.size() + 1);
+  c.displ[0] = 0;
+  for (std::size_t cell = 0; cell < b.rowlen.size(); ++cell)
+    c.displ[cell + 1] = c.displ[cell] + b.rowlen[cell];
 
   const idx_t numparts = b.num_partitions();
   const idx_t partsize = b.config.partsize;
+  AlignedVector<real> values(static_cast<std::size_t>(c.nnz()));
   std::vector<std::vector<std::uint8_t>> map_chunks(
       static_cast<std::size_t>(numparts));
   std::vector<std::vector<std::uint8_t>> ind_chunks(
@@ -282,18 +287,22 @@ CompressedBuffered compress_buffered(const BufferedMatrix& b,
       // Slot runs: each (stage, row) cell's 16-bit buffer indices ascend.
       auto& out = ind_chunks[static_cast<std::size_t>(p)];
       for (idx_t stage = b.partdispl[p]; stage < b.partdispl[p + 1];
-           ++stage) {
-        const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
+           ++stage)
         for (idx_t j = 0; j < partsize; ++j) {
+          const RowRun r = b.row_run(stage, j);
+          nnz_t to = c.displ[static_cast<std::size_t>(stage) * partsize + j];
           run.clear();
-          for (nnz_t i = b.displ[dstart + j]; i < b.displ[dstart + j + 1];
-               ++i)
-            run.push_back(static_cast<idx_t>(b.ind[i]));
+          for (idx_t e = 0; e < r.len; ++e) {
+            run.push_back(
+                static_cast<idx_t>(b.ind[static_cast<std::size_t>(r.at(e))]));
+            values[static_cast<std::size_t>(to++)] =
+                b.val[static_cast<std::size_t>(r.at(e))];
+          }
           varint::encode_run(run, out);
         }
-      }
     }
   }
+  quantize_values(values, storage, c.val16, c.val32);
   splice_chunks(map_chunks, c.part_map_bytes, c.map_bytes);
   splice_chunks(ind_chunks, c.part_ind_bytes, c.ind_bytes);
   c.validate();

@@ -86,8 +86,10 @@ struct CompressedCsr {
 };
 
 /// Multi-stage buffered layout with delta/varint map and buffer-slot
-/// streams. Mirrors BufferedMatrix (same partdispl/stagedispl/stagenz/displ
-/// geometry) with two byte streams in place of `map` and `ind`:
+/// streams. Mirrors BufferedMatrix's partdispl/stagedispl/stagenz geometry,
+/// keeps each (stage, row) run unpadded and in row order (`displ` is the
+/// prefix sum of BufferedMatrix::rowlen), and has two byte streams in place
+/// of `map` and `ind`:
 ///   * `map_bytes` — one delta run per PARTITION covering all its stages
 ///     (the footprint is ascending across the whole partition);
 ///   * `ind_bytes` — one delta run per (stage, row) cell, in the stage-major

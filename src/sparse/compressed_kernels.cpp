@@ -1,8 +1,9 @@
 // Compressed-operator apply kernels (see sparse/compressed.hpp).
 //
 // Each kernel mirrors its fp32 counterpart in sparse/spmv.cpp /
-// sparse/spmm.cpp exactly — same traversal, same strict scalar accumulation
-// order per lane — with two substitutions in the inner loop:
+// sparse/spmm.cpp / sparse/buffered_kernel.hpp exactly — same per-row
+// accumulation order per lane, each row summed as a scalar chain over its
+// unpadded run — with two substitutions in the inner loop:
 //   * the column / buffer-slot index is recovered by adding the next varint
 //     gap to a running position (virtual predecessor -1, so no branch);
 //   * the value is decoded from its 16-bit storage to fp32 in-register.
@@ -146,7 +147,7 @@ inline void cbuffered_partition(const CompressedBuffered& a, idx_t part,
     }
     const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
     for (idx_t j = 0; j < partsize; ++j) {
-      // Strict scalar accumulation order, matching spmv_buffered.
+      // Row order, matching each lane of spmv_buffered.
       real acc = 0;
       idx_t slot = -1;
       for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i) {

@@ -3,9 +3,11 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/buffered_kernel.hpp"
 
 namespace memxct::sparse {
 
@@ -101,18 +103,20 @@ std::vector<nnz_t> partition_nnz(const EllBlockMatrix& a) {
 }
 
 std::vector<nnz_t> partition_nnz(const BufferedMatrix& a) {
-  const idx_t partsize = a.config.partsize;
   std::vector<nnz_t> weights(static_cast<std::size_t>(a.num_partitions()));
   for (idx_t p = 0; p < a.num_partitions(); ++p) {
-    // A partition's entries span one contiguous run of the stage-major
-    // layout, bounded by its first and one-past-last stage rows.
-    const auto cell0 = static_cast<std::size_t>(
+    // A partition's rows are one contiguous run of rowlen, bounded by its
+    // first and one-past-last stage rows.
+    const auto cell0 = a.rowlen.begin() +
+                       static_cast<std::ptrdiff_t>(
                            a.partdispl[static_cast<std::size_t>(p)]) *
-                       partsize;
-    const auto cell1 = static_cast<std::size_t>(
+                           a.config.partsize;
+    const auto cell1 = a.rowlen.begin() +
+                       static_cast<std::ptrdiff_t>(
                            a.partdispl[static_cast<std::size_t>(p) + 1]) *
-                       partsize;
-    weights[static_cast<std::size_t>(p)] = a.displ[cell1] - a.displ[cell0];
+                           a.config.partsize;
+    weights[static_cast<std::size_t>(p)] =
+        std::accumulate(cell0, cell1, nnz_t{0});
   }
   return weights;
 }
@@ -199,58 +203,7 @@ void spmv_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
                            std::span<real> y) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
   MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  MEMXCT_CHECK(plan.num_partitions() == a.num_partitions());
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const idx_t partsize = a.config.partsize;
-  const idx_t num_rows = a.num_rows;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >= a.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >= partsize);
-      real* const input = input_span.data();
-      real* const output = output_span.data();
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part) {
-        std::fill(output, output + partsize, real{0});
-        for (idx_t stage = partdispl[part]; stage < partdispl[part + 1];
-             ++stage) {
-          const nnz_t mstart = stagedispl[stage];
-          const idx_t nz = stagenz[stage];
-#pragma omp simd
-          for (idx_t i = 0; i < nz; ++i) input[i] = xp[map[mstart + i]];
-          const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-          for (idx_t j = 0; j < partsize; ++j) {
-            // Strict scalar order — the bitwise-parity contract with the
-            // multi-RHS kernels forbids reassociating this sum.
-            real acc = 0;
-            for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-              acc += input[ind[i]] * val[i];
-            output[j] += acc;
-          }
-        }
-        // Tail guard hoisted out of the store loop: full partitions take the
-        // branchless full-width path, only the last partition truncates.
-        const idx_t rstart = part * partsize;
-        const idx_t rows_here = std::min<idx_t>(partsize, num_rows - rstart);
-#pragma omp simd
-        for (idx_t i = 0; i < rows_here; ++i) yp[rstart + i] = output[i];
-      }
-    }
-  }
+  detail::apply_planned(a, plan, ws, 1, x.data(), y.data());
 }
 
 }  // namespace memxct::sparse

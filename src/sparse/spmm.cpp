@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/buffered_kernel.hpp"
 
 namespace memxct::sparse {
 
@@ -125,85 +126,10 @@ void spmm_ell(const EllBlockMatrix& a, idx_t k, std::span<const real> x,
   }
 }
 
-namespace {
-
-/// Shared buffered block body: one partition, all its stages, k lanes.
-/// `input` holds the staged footprint interleaved (buffsize * k), `output`
-/// the partition's accumulating rows interleaved (partsize * k).
-inline void buffered_partition_block(
-    const BufferedMatrix& a, idx_t part, idx_t k, const real* xp, real* yp,
-    real* input, real* output) {
-  const idx_t partsize = a.config.partsize;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const auto kk = static_cast<std::size_t>(k);
-
-  std::fill(output, output + static_cast<std::size_t>(partsize) * kk,
-            real{0});
-  for (idx_t stage = partdispl[part]; stage < partdispl[part + 1]; ++stage) {
-    // Staging: one 4 B map read serves all k lanes; the gathered x values
-    // themselves stay per-lane (they do not amortize — see the traffic
-    // model in perf/counters.hpp).
-    const nnz_t mstart = stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-    for (idx_t i = 0; i < nz; ++i) {
-      const real* const src =
-          xp + static_cast<std::size_t>(map[mstart + i]) * kk;
-      real* const dst = input + static_cast<std::size_t>(i) * kk;
-#pragma omp simd
-      for (idx_t s = 0; s < k; ++s) dst[s] = src[s];
-    }
-    const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-    for (idx_t j = 0; j < partsize; ++j) {
-      real acc[kMaxBlockWidth];
-      for (idx_t s = 0; s < k; ++s) acc[s] = 0;
-      for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i) {
-        const real v = val[i];
-        const real* const xr =
-            input + static_cast<std::size_t>(ind[i]) * kk;
-#pragma omp simd
-        for (idx_t s = 0; s < k; ++s) acc[s] += xr[s] * v;
-      }
-      real* const out = output + static_cast<std::size_t>(j) * kk;
-#pragma omp simd
-      for (idx_t s = 0; s < k; ++s) out[s] += acc[s];
-    }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, a.num_rows - rstart);
-  for (idx_t i = 0; i < rows_here; ++i) {
-    real* const yr = yp + static_cast<std::size_t>(rstart + i) * kk;
-    const real* const out = output + static_cast<std::size_t>(i) * kk;
-#pragma omp simd
-    for (idx_t s = 0; s < k; ++s) yr[s] = out[s];
-  }
-}
-
-}  // namespace
-
 void spmm_buffered(const BufferedMatrix& a, idx_t k, std::span<const real> x,
                    std::span<real> y) {
   check_block_shape(a.num_rows, a.num_cols, k, x, y);
-  const idx_t numparts = a.num_partitions();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const auto kk = static_cast<std::size_t>(k);
-#pragma omp parallel
-  {
-    AlignedVector<real> input(static_cast<std::size_t>(a.config.buffsize) *
-                              kk);
-    AlignedVector<real> output(static_cast<std::size_t>(a.config.partsize) *
-                               kk);
-#pragma omp for schedule(dynamic)
-    for (idx_t part = 0; part < numparts; ++part)
-      buffered_partition_block(a, part, k, xp, yp, input.data(),
-                               output.data());
-  }
+  detail::apply_dynamic(a, k, x.data(), y.data());
 }
 
 void spmm_csr_planned(const CsrMatrix& a, idx_t partsize,
@@ -305,28 +231,7 @@ void spmm_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
                            Workspace& ws, idx_t k, std::span<const real> x,
                            std::span<real> y) {
   check_block_shape(a.num_rows, a.num_cols, k, x, y);
-  MEMXCT_CHECK(plan.num_partitions() == a.num_partitions());
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const int num_slots = plan.num_slots();
-  const auto kk = static_cast<std::size_t>(k);
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(input_span.size() >=
-                   static_cast<std::size_t>(a.config.buffsize) * kk);
-      MEMXCT_CHECK(output_span.size() >=
-                   static_cast<std::size_t>(a.config.partsize) * kk);
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_partition_block(a, part, k, xp, yp, input_span.data(),
-                                 output_span.data());
-    }
-  }
+  detail::apply_planned(a, plan, ws, k, x.data(), y.data());
 }
 
 }  // namespace memxct::sparse

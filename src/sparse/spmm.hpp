@@ -12,16 +12,17 @@
 // i lives at x[i*K + s] (common/interleave.hpp converts). One loaded
 // (ind, val) pair then feeds K contiguous lanes, so `#pragma omp simd`
 // vectorizes across the K dimension while EVERY slice keeps the exact
-// scalar accumulation order of the single-RHS kernels.
+// per-row accumulation order of the single-RHS kernels.
 //
 // Bitwise-parity contract: for every kernel family, schedule, thread
 // count, and K, deinterleaving lane s of the block result equals the
 // corresponding single-RHS kernel's output bit for bit. Two ingredients
-// make that hold: (1) the single-RHS CSR/buffered inner loops use a strict
-// scalar accumulation order (no reassociating simd reduction — see
-// sparse/spmv.cpp), and (2) each lane's per-nonzero update here has the
-// same `acc += x*v` expression shape, so FP contraction applies
-// identically to both.
+// make that hold: (1) every single-RHS kernel sums each row in row order,
+// never a reassociating simd reduction — strictly scalar for CSR, row
+// order per lane and SIMD across rows for the buffered and ELL layouts
+// (sparse/buffered_kernel.hpp); and (2) each lane's per-nonzero update here
+// has the same `acc += x*v` expression shape, with FP contraction off in
+// every kernel TU.
 #pragma once
 
 #include <span>
@@ -53,7 +54,7 @@ void spmm_ell(const EllBlockMatrix& a, idx_t k, std::span<const real> x,
 
 /// Multi-RHS multi-stage buffered apply (dynamic schedule): each stage's
 /// footprint is gathered once per slice into a k-wide interleaved buffer,
-/// then every partition row consumes its run for all k slices from L1.
+/// then each row group's kSliceRows rows accumulate all k slices from L1.
 void spmm_buffered(const BufferedMatrix& a, idx_t k, std::span<const real> x,
                    std::span<real> y);
 

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/buffered_kernel.hpp"
 
 namespace memxct::sparse {
 
@@ -113,43 +114,16 @@ void spmv_csr_range_planned(const CsrMatrix& a, idx_t partsize,
 
 namespace {
 
-/// Shared body of the buffered row-range kernels: runs partition `part`
-/// (global index) into `output`, then stores its rows into y_sub.
-inline void buffered_partition_into(const BufferedMatrix& a, idx_t part,
-                                    const RowRange& range,
-                                    std::span<const real> x, real* input,
-                                    real* output, real* yp) {
-  const idx_t partsize = a.config.partsize;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-
-  std::fill(output, output + partsize, real{0});
-  for (idx_t stage = partdispl[part]; stage < partdispl[part + 1]; ++stage) {
-    const nnz_t mstart = stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-#pragma omp simd
-    for (idx_t i = 0; i < nz; ++i) input[i] = xp[map[mstart + i]];
-    const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-    for (idx_t j = 0; j < partsize; ++j) {
-      // Strict scalar order, identical to spmv_buffered: subset rows are
-      // bitwise equal to the same rows of a full apply.
-      real acc = 0;
-      for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-        acc += input[ind[i]] * val[i];
-      output[j] += acc;
-    }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, range.last() - rstart);
-#pragma omp simd
-  for (idx_t i = 0; i < rows_here; ++i)
-    yp[rstart - range.first + i] = output[i];
+/// Runs partition `part` (global index) of a row-range apply, storing its
+/// in-range rows into y_sub.
+inline void buffered_range_partition(const BufferedMatrix& a, idx_t part,
+                                     const RowRange& range, const real* xp,
+                                     real* input, real* output, real* yp) {
+  const idx_t rstart = part * a.config.partsize;
+  detail::partition_apply(
+      a, part, detail::FullWindow{a}, 1, xp, input, output,
+      yp + (rstart - range.first),
+      std::min<idx_t>(a.config.partsize, range.last() - rstart));
 }
 
 }  // namespace
@@ -162,17 +136,12 @@ void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
   const idx_t partsize = a.config.partsize;
   const idx_t p0 = range.first / partsize;
   const idx_t p1 = p0 + ceil_div(range.count, partsize);
-  real* const yp = y_sub.data();
-
-#pragma omp parallel
-  {
-    AlignedVector<real> input(static_cast<std::size_t>(a.config.buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(partsize));
-#pragma omp for schedule(dynamic)
-    for (idx_t part = p0; part < p1; ++part)
-      buffered_partition_into(a, part, range, x, input.data(), output.data(),
-                              yp);
-  }
+  detail::run_dynamic(p0, p1, static_cast<std::size_t>(a.config.buffsize),
+                      static_cast<std::size_t>(partsize),
+                      [&](idx_t part, real* input, real* output) {
+                        buffered_range_partition(a, part, range, x.data(),
+                                                 input, output, y_sub.data());
+                      });
 }
 
 void spmv_buffered_range_planned(const BufferedMatrix& a,
@@ -184,24 +153,13 @@ void spmv_buffered_range_planned(const BufferedMatrix& a,
   check_range_aligned(range, a.num_rows, a.config.partsize);
   const idx_t partsize = a.config.partsize;
   MEMXCT_CHECK(plan.num_partitions() == ceil_div(range.count, partsize));
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
   const idx_t p0 = range.first / partsize;
-  real* const yp = y_sub.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >= a.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >= partsize);
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_partition_into(a, p0 + part, range, x, input_span.data(),
-                                output_span.data(), yp);
-    }
-  }
+  detail::run_planned(plan, ws, static_cast<std::size_t>(a.config.buffsize),
+                      static_cast<std::size_t>(partsize),
+                      [&](idx_t part, real* input, real* output) {
+                        buffered_range_partition(a, p0 + part, range, x.data(),
+                                                 input, output, y_sub.data());
+                      });
 }
 
 // ---------------------------------------------------------------------------
@@ -316,6 +274,41 @@ void spmv_csr_colrange_planned(const CsrMatrix& at, idx_t partsize,
 // Transpose column ranges: buffered.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Buffer slots of `stage` whose columns fall in [first, last): map is
+/// ascending within a stage, so they form one interval.
+detail::SlotWindow stage_slots(const BufferedMatrix& at, idx_t stage,
+                               idx_t first, idx_t last) {
+  const idx_t* const mp =
+      at.map.data() + at.stagedispl[static_cast<std::size_t>(stage)];
+  const idx_t nz = at.stagenz[static_cast<std::size_t>(stage)];
+  const auto lo = static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) - mp);
+  const auto hi =
+      static_cast<idx_t>(std::lower_bound(mp + lo, mp + nz, last) - mp);
+  return {lo, hi};
+}
+
+/// Window of a column-range apply: the precomputed in-range stages, their
+/// in-range slots, and y_sub indexed relative to range.first.
+struct ColRangeWindow {
+  const BufferedMatrix& at;
+  const BufferedColRange& ix;
+
+  [[nodiscard]] idx_t first() const noexcept { return ix.range.first; }
+  [[nodiscard]] idx_t stage_begin(idx_t part) const noexcept {
+    return ix.stage_begin[static_cast<std::size_t>(part)];
+  }
+  [[nodiscard]] idx_t stage_end(idx_t part) const noexcept {
+    return ix.stage_end[static_cast<std::size_t>(part)];
+  }
+  [[nodiscard]] detail::SlotWindow slots(idx_t stage) const {
+    return stage_slots(at, stage, ix.range.first, ix.range.last());
+  }
+};
+
+}  // namespace
+
 BufferedColRange BufferedColRange::build(const BufferedMatrix& at,
                                          const RowRange& range) {
   MEMXCT_CHECK(range.count >= 1);
@@ -352,34 +345,16 @@ BufferedColRange BufferedColRange::build(const BufferedMatrix& at,
     }
     ix.stage_begin[static_cast<std::size_t>(p)] = sb;
     ix.stage_end[static_cast<std::size_t>(p)] = se;
-    // In-range entry count: per stage, the footprint slots in [blo, bhi)
-    // hold the in-range columns; each (stage, row) cell's ascending-`ind`
-    // run is clipped to that slot interval.
+    // In-range entry count: each (stage, row) run's ascending slots are
+    // clipped to the stage's in-range slot interval.
     nnz_t part_total = 0;
     for (idx_t s = sb; s < se; ++s) {
-      const nnz_t m0 = at.stagedispl[static_cast<std::size_t>(s)];
-      const idx_t nz = at.stagenz[static_cast<std::size_t>(s)];
-      const idx_t* const mp = at.map.data() + m0;
-      const auto blo =
-          static_cast<idx_t>(std::lower_bound(mp, mp + nz, range.first) - mp);
-      const auto bhi =
-          static_cast<idx_t>(std::lower_bound(mp, mp + nz, range.last()) - mp);
-      const nnz_t dstart = static_cast<nnz_t>(s) * partsize;
-      if (blo == 0 && bhi == nz) {
-        part_total += at.displ[static_cast<std::size_t>(dstart + partsize)] -
-                      at.displ[static_cast<std::size_t>(dstart)];
-        continue;
-      }
+      const detail::SlotWindow sw =
+          stage_slots(at, s, range.first, range.last());
       for (idx_t j = 0; j < partsize; ++j) {
-        const buf_idx_t* const ib =
-            at.ind.data() + at.displ[static_cast<std::size_t>(dstart + j)];
-        const buf_idx_t* const ie =
-            at.ind.data() + at.displ[static_cast<std::size_t>(dstart + j + 1)];
-        const auto* jlo =
-            std::lower_bound(ib, ie, static_cast<buf_idx_t>(blo));
-        const auto* jhi =
-            std::lower_bound(jlo, ie, static_cast<buf_idx_t>(bhi));
-        part_total += static_cast<nnz_t>(jhi - jlo);
+        const RowRun run = at.row_run(s, j);
+        const idx_t lo = at.run_lower_bound(run, 0, sw.lo);
+        part_total += at.run_lower_bound(run, lo, sw.hi) - lo;
       }
     }
     ix.part_nnz[static_cast<std::size_t>(p)] = part_total;
@@ -391,66 +366,17 @@ BufferedColRange BufferedColRange::build(const BufferedMatrix& at,
 
 namespace {
 
-/// Shared per-partition body of the buffered column-range kernels: runs the
-/// in-range stage window of partition `part` into `output`, then stores the
+/// Runs the in-range stage window of partition `part` and stores the
 /// partition's rows (zero when the window is empty).
 inline void buffered_colrange_partition(const BufferedMatrix& at,
                                         const BufferedColRange& ix,
                                         idx_t part, const real* yp,
                                         real* input, real* output, real* xp) {
-  const idx_t partsize = at.config.partsize;
-  const nnz_t* const stagedispl = at.stagedispl.data();
-  const idx_t* const stagenz = at.stagenz.data();
-  const idx_t* const map = at.map.data();
-  const nnz_t* const displ = at.displ.data();
-  const buf_idx_t* const ind = at.ind.data();
-  const real* const val = at.val.data();
-  const idx_t first = ix.range.first;
-  const idx_t last = ix.range.last();
-
-  std::fill(output, output + partsize, real{0});
-  const idx_t sb = ix.stage_begin[static_cast<std::size_t>(part)];
-  const idx_t se = ix.stage_end[static_cast<std::size_t>(part)];
-  for (idx_t stage = sb; stage < se; ++stage) {
-    const nnz_t mstart = stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-    const idx_t* const mp = map + mstart;
-    const auto blo =
-        static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) - mp);
-    const auto bhi =
-        static_cast<idx_t>(std::lower_bound(mp + blo, mp + nz, last) - mp);
-    // Stage only the in-range footprint slots; slots outside [blo, bhi) are
-    // left stale and the clipped inner runs below never address them.
-#pragma omp simd
-    for (idx_t i = blo; i < bhi; ++i) input[i] = yp[mp[i] - first];
-    const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-    if (blo == 0 && bhi == nz) {
-      // Interior stage: the unmodified full-kernel inner loop.
-      for (idx_t j = 0; j < partsize; ++j) {
-        real acc = 0;
-        for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-          acc += input[ind[i]] * val[i];
-        output[j] += acc;
-      }
-      continue;
-    }
-    // Boundary stage: clip each row's ascending-`ind` run to [blo, bhi).
-    for (idx_t j = 0; j < partsize; ++j) {
-      const buf_idx_t* const ib = ind + displ[dstart + j];
-      const buf_idx_t* const ie = ind + displ[dstart + j + 1];
-      const auto* jlo = std::lower_bound(ib, ie, static_cast<buf_idx_t>(blo));
-      const auto* jhi =
-          std::lower_bound(jlo, ie, static_cast<buf_idx_t>(bhi));
-      real acc = 0;
-      for (const buf_idx_t* i = jlo; i < jhi; ++i)
-        acc += input[*i] * val[(i - ind)];
-      output[j] += acc;
-    }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, at.num_rows - rstart);
-#pragma omp simd
-  for (idx_t i = 0; i < rows_here; ++i) xp[rstart + i] = output[i];
+  const idx_t rstart = part * at.config.partsize;
+  detail::partition_apply(at, part, ColRangeWindow{at, ix}, 1, yp, input,
+                          output, xp + rstart,
+                          std::min<idx_t>(at.config.partsize,
+                                          at.num_rows - rstart));
 }
 
 }  // namespace
@@ -462,19 +388,14 @@ void spmv_buffered_colrange(const BufferedMatrix& at,
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
   MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
                at.num_partitions());
-  const idx_t numparts = at.num_partitions();
-  const real* const yp = y_sub.data();
-  real* const xp = x.data();
-
-#pragma omp parallel
-  {
-    AlignedVector<real> input(static_cast<std::size_t>(at.config.buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(at.config.partsize));
-#pragma omp for schedule(dynamic)
-    for (idx_t part = 0; part < numparts; ++part)
-      buffered_colrange_partition(at, index, part, yp, input.data(),
-                                  output.data(), xp);
-  }
+  detail::run_dynamic(0, at.num_partitions(),
+                      static_cast<std::size_t>(at.config.buffsize),
+                      static_cast<std::size_t>(at.config.partsize),
+                      [&](idx_t part, real* input, real* output) {
+                        buffered_colrange_partition(at, index, part,
+                                                    y_sub.data(), input,
+                                                    output, x.data());
+                      });
 }
 
 void spmv_buffered_colrange_planned(const BufferedMatrix& at,
@@ -487,26 +408,13 @@ void spmv_buffered_colrange_planned(const BufferedMatrix& at,
   MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
                at.num_partitions());
   MEMXCT_CHECK(plan.num_partitions() == at.num_partitions());
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const real* const yp = y_sub.data();
-  real* const xp = x.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >=
-                   at.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >=
-                   at.config.partsize);
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_colrange_partition(at, index, part, yp, input_span.data(),
-                                    output_span.data(), xp);
-    }
-  }
+  detail::run_planned(plan, ws, static_cast<std::size_t>(at.config.buffsize),
+                      static_cast<std::size_t>(at.config.partsize),
+                      [&](idx_t part, real* input, real* output) {
+                        buffered_colrange_partition(at, index, part,
+                                                    y_sub.data(), input,
+                                                    output, x.data());
+                      });
 }
 
 }  // namespace memxct::sparse

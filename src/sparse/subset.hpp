@@ -125,8 +125,9 @@ void spmv_csr_colrange_planned(const CsrMatrix& at, idx_t partsize,
 /// columns, chunked into stages), so the in-range stages of partition p form
 /// one contiguous window [stage_begin[p], stage_end[p]); only the window's
 /// boundary stages can be partially in range and need per-apply filtering
-/// (binary search on the ascending buffer-local `ind` runs). Interior
-/// stages execute the unmodified full-kernel inner loops.
+/// (a strided binary search on each row's ascending buffer slots, see
+/// BufferedMatrix::run_lower_bound). Interior stages execute the unmodified
+/// full-kernel inner loops.
 struct BufferedColRange {
   RowRange range;                 ///< Column range (global x indices in map).
   std::vector<idx_t> stage_begin; ///< Per partition: first in-range stage.

@@ -4,7 +4,12 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,8 +18,12 @@
 #include "common/rng.hpp"
 #include "geometry/projector.hpp"
 #include "hilbert/ordering.hpp"
+#include "shard/sharded_operator.hpp"
 #include "sparse/buffered.hpp"
+#include "sparse/plan.hpp"
+#include "sparse/subset.hpp"
 #include "sparse/transpose.hpp"
+#include "buffered_reference.hpp"
 #include "test_util.hpp"
 
 namespace memxct::sparse {
@@ -132,11 +141,18 @@ TEST(Buffered, BandwidthAccountingUsesTwoByteIndices) {
   const BufferedMatrix bm = build_buffered(a, {16, 128});
   const auto work = buffered_work(bm);
   EXPECT_EQ(work.nnz, a.nnz());
-  EXPECT_DOUBLE_EQ(work.bytes_per_fma(), 6.0);  // 2 B index + 4 B value
+  EXPECT_EQ(bm.nnz(), a.nnz());
+  ASSERT_GE(bm.padded_nnz(), a.nnz());
+  // 2 B index + 4 B value per STORED entry, charged to the real FMAs: pad
+  // entries are streamed too, so B/FMA is 6 scaled by the padded fraction.
+  const double padding = static_cast<double>(bm.padded_nnz()) /
+                         static_cast<double>(a.nnz());
+  EXPECT_DOUBLE_EQ(work.bytes_per_fma(), 6.0 * padding);
+  EXPECT_GE(work.bytes_per_fma(), 6.0);
   EXPECT_EQ(work.staged_words, bm.total_staged());
-  // Regular bytes = 6·nnz + 8·staged (map read + gathered value).
+  // Regular bytes = 6·padded_nnz + 8·staged (map read + gathered value).
   EXPECT_DOUBLE_EQ(work.regular_bytes(),
-                   6.0 * static_cast<double>(a.nnz()) +
+                   6.0 * static_cast<double>(bm.padded_nnz()) +
                        8.0 * static_cast<double>(bm.total_staged()));
 }
 
@@ -162,87 +178,13 @@ TEST(Buffered, HilbertLikeBandedMatrixFewStages) {
 
 // ---- bitwise parity with the sort-and-search construction ----------------
 
-/// The construction build_buffered replaced, kept as the parity reference:
-/// per partition, copy every nonzero's column, sort and deduplicate the copy,
-/// then place each entry by a binary search into the distinct columns.
-BufferedMatrix build_buffered_sort_and_search(const CsrMatrix& a,
-                                              const BufferConfig& config) {
-  BufferedMatrix b;
-  b.num_rows = a.num_rows;
-  b.num_cols = a.num_cols;
-  b.config = config;
-  const idx_t partsize = config.partsize;
-  const idx_t buffsize = config.buffsize;
-  const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
-
-  std::vector<std::vector<idx_t>> cols(static_cast<std::size_t>(numparts));
-  b.partdispl = {0};
-  b.stagedispl = {0};
-  for (idx_t p = 0; p < numparts; ++p) {
-    auto& c = cols[static_cast<std::size_t>(p)];
-    const idx_t r0 = p * partsize;
-    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-    c.assign(a.ind.begin() + a.displ[r0], a.ind.begin() + a.displ[r1]);
-    std::sort(c.begin(), c.end());
-    c.erase(std::unique(c.begin(), c.end()), c.end());
-    const auto size = static_cast<idx_t>(c.size());
-    const idx_t stages = std::max<idx_t>(1, ceil_div(size, buffsize));
-    for (idx_t k = 0; k < stages; ++k) {
-      const idx_t nz = std::min<idx_t>(buffsize, size - k * buffsize);
-      b.stagenz.push_back(std::max<idx_t>(nz, 0));
-      b.stagedispl.push_back(b.stagedispl.back() + b.stagenz.back());
-    }
-    b.partdispl.push_back(b.partdispl.back() + stages);
-    b.map.insert(b.map.end(), c.begin(), c.end());
-  }
-  b.displ.assign(static_cast<std::size_t>(b.num_stages()) * partsize + 1, 0);
-  b.ind.resize(static_cast<std::size_t>(a.nnz()));
-  b.val.resize(static_cast<std::size_t>(a.nnz()));
-
-  nnz_t cursor = 0;
-  for (idx_t p = 0; p < numparts; ++p) {
-    const auto& c = cols[static_cast<std::size_t>(p)];
-    const auto slot_of = [&](idx_t col) {
-      return static_cast<idx_t>(std::lower_bound(c.begin(), c.end(), col) -
-                                c.begin());
-    };
-    const idx_t r0 = p * partsize;
-    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-    const idx_t stage0 = b.partdispl[static_cast<std::size_t>(p)];
-    const idx_t stages = b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
-    std::vector<nnz_t> counts(static_cast<std::size_t>(stages) * partsize, 0);
-    for (idx_t r = r0; r < r1; ++r)
-      for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k)
-        ++counts[static_cast<std::size_t>(slot_of(a.ind[k]) / buffsize) *
-                     partsize +
-                 (r - r0)];
-    for (idx_t s = 0; s < stages; ++s)
-      for (idx_t j = 0; j < partsize; ++j) {
-        auto& count = counts[static_cast<std::size_t>(s) * partsize + j];
-        const nnz_t n = count;
-        count = cursor;
-        cursor += n;
-        b.displ[static_cast<std::size_t>(stage0 + s) * partsize + j + 1] =
-            cursor;
-      }
-    for (idx_t r = r0; r < r1; ++r)
-      for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-        const idx_t pos = slot_of(a.ind[k]);
-        nnz_t& cur =
-            counts[static_cast<std::size_t>(pos / buffsize) * partsize +
-                   (r - r0)];
-        b.ind[static_cast<std::size_t>(cur)] =
-            static_cast<buf_idx_t>(pos % buffsize);
-        b.val[static_cast<std::size_t>(cur)] = a.val[k];
-        ++cur;
-      }
-  }
-  return b;
-}
-
-void expect_buffered_bitwise(const BufferedMatrix& got,
-                             const BufferedMatrix& want,
-                             const std::string& where) {
+/// Compares the sliced layout with the row-run reference: the staging
+/// arrays byte for byte, each (stage, row) run entry by entry, and every
+/// pad entry against slot 0, value +0.
+void expect_layout_matches(const BufferedMatrix& got,
+                           const testutil::RowRunBuffered& want,
+                           const std::string& where) {
+  ASSERT_NO_THROW(got.validate()) << where;
   EXPECT_EQ(got.num_rows, want.num_rows) << where;
   EXPECT_EQ(got.num_cols, want.num_cols) << where;
   EXPECT_TRUE(testutil::same_bytes(got.partdispl, want.partdispl))
@@ -251,14 +193,40 @@ void expect_buffered_bitwise(const BufferedMatrix& got,
       << "stagedispl, " << where;
   EXPECT_TRUE(testutil::same_bytes(got.stagenz, want.stagenz))
       << "stagenz, " << where;
-  EXPECT_TRUE(testutil::same_bytes(got.map, want.map))
-      << "map, " << where;
-  EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ))
-      << "displ, " << where;
-  EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind))
-      << "ind, " << where;
-  EXPECT_TRUE(testutil::same_bytes(got.val, want.val))
-      << "val, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.map, want.map)) << "map, " << where;
+  ASSERT_EQ(got.num_stages(), want.num_stages()) << where;
+  const idx_t partsize = got.config.partsize;
+  nnz_t visited = 0;
+  int mismatches = 0;
+  for (idx_t s = 0; s < got.num_stages(); ++s)
+    for (idx_t j = 0; j < partsize; ++j) {
+      const auto cell = static_cast<std::size_t>(s) * partsize + j;
+      const RowRun run = got.row_run(s, j);
+      const nnz_t want_begin = want.displ[cell];
+      ASSERT_EQ(run.len, want.displ[cell + 1] - want_begin)
+          << "row length, stage " << s << " row " << j << ", " << where;
+      const idx_t g = j / kSliceRows;
+      const auto group =
+          static_cast<std::size_t>(s) * got.num_groups() + g;
+      const auto width = static_cast<idx_t>(
+          (got.groupdispl[group + 1] - got.groupdispl[group]) /
+          got.group_rows(g));
+      for (idx_t e = 0; e < width; ++e, ++visited) {
+        const auto at = static_cast<std::size_t>(run.at(e));
+        const buf_idx_t want_ind =
+            e < run.len ? want.ind[static_cast<std::size_t>(want_begin + e)]
+                        : buf_idx_t{0};
+        const real want_val =
+            e < run.len ? want.val[static_cast<std::size_t>(want_begin + e)]
+                        : real{0};
+        if (got.ind[at] != want_ind ||
+            std::memcmp(&got.val[at], &want_val, sizeof(real)) != 0)
+          ++mismatches;
+      }
+    }
+  EXPECT_EQ(mismatches, 0) << "entries differ, " << where;
+  EXPECT_EQ(visited, got.padded_nnz()) << "unvisited entries, " << where;
+  EXPECT_EQ(got.nnz(), static_cast<nnz_t>(want.ind.size())) << where;
 }
 
 /// Random matrix whose rows [empty_from, empty_to) have no entries, so whole
@@ -311,8 +279,7 @@ TEST(BufferedBuild, MatchesSortAndSearchReferenceBitwise) {
   const int saved = omp_get_max_threads();
   for (const auto& m : matrices)
     for (const auto& config : configs) {
-      const BufferedMatrix want = build_buffered_sort_and_search(m.a, config);
-      ASSERT_NO_THROW(want.validate());
+      const auto want = testutil::build_buffered_sort_and_search(m.a, config);
       for (const int threads : {1, 3}) {
         omp_set_num_threads(threads);
         const std::string where =
@@ -320,10 +287,257 @@ TEST(BufferedBuild, MatchesSortAndSearchReferenceBitwise) {
             std::to_string(config.partsize) +
             " buffsize=" + std::to_string(config.buffsize) +
             " threads=" + std::to_string(threads);
-        expect_buffered_bitwise(build_buffered(m.a, config), want, where);
+        expect_layout_matches(build_buffered(m.a, config), want, where);
       }
     }
   omp_set_num_threads(saved);
+}
+
+// ---- kernel parity with the row-order scalar kernel ---------------------
+
+/// x values that stress the masked-lane argument: a finite random vector,
+/// and one with ±0, ±inf, NaN and subnormals sprinkled through it (sparse
+/// enough that most outputs stay finite and keep exposing rounding order).
+/// Its NaN is the default NaN that inf − inf produces, so every NaN in a
+/// sum has the same bits; `mixed_nan` swaps in the positive quiet NaN,
+/// whose payload an addition with the default NaN may or may not keep.
+std::vector<AlignedVector<real>> parity_inputs(idx_t n, std::uint64_t seed,
+                                               bool mixed_nan = false) {
+  std::vector<AlignedVector<real>> xs;
+  xs.push_back(testutil::random_vector(n, seed));
+  AlignedVector<real> special = testutil::random_vector(n, seed + 1);
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const real specials[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<real>::infinity(),
+                           -std::numeric_limits<real>::infinity(),
+                           mixed_nan ? nan : -nan,
+                           std::numeric_limits<real>::denorm_min(),
+                           -3.0f * std::numeric_limits<real>::denorm_min(),
+                           std::numeric_limits<real>::min() / 4.0f};
+  Rng rng(seed + 2);
+  for (auto& v : special)
+    if (rng.uniform() < 0.03)
+      v = specials[rng.uniform_int(sizeof(specials) / sizeof(specials[0]))];
+  xs.push_back(std::move(special));
+  return xs;
+}
+
+/// memcmp of two outputs (with `nan_as_equal`, any NaN matches any NaN);
+/// on a mismatch the message names the first differing element and both
+/// bit patterns.
+::testing::AssertionResult bitwise_equal(std::span<const real> got,
+                                         std::span<const real> want,
+                                         bool nan_as_equal = false) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure() << "sizes " << got.size() << " vs "
+                                         << want.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    std::uint32_t g = 0, w = 0;
+    std::memcpy(&g, &got[i], sizeof(g));
+    std::memcpy(&w, &want[i], sizeof(w));
+    const bool both_nan = std::isnan(got[i]) && std::isnan(want[i]);
+    if (g != w && !(nan_as_equal && both_nan)) {
+      std::ostringstream msg;
+      msg << "element " << i << ": got " << got[i] << " (0x" << std::hex << g
+          << "), want " << want[i] << " (0x" << w << ")";
+      return ::testing::AssertionFailure() << msg.str();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct ParityMatrix {
+  const char* name;
+  CsrMatrix a;
+  std::vector<BufferConfig> configs;  ///< Full applies sweep all of these.
+  std::vector<BufferConfig> sampled;  ///< Subset and shard views: these.
+};
+
+std::vector<ParityMatrix> parity_matrices() {
+  std::vector<BufferConfig> grid;
+  for (const idx_t partsize : {1, 7, 16, 33, 128, 300})
+    for (const idx_t buffsize : {1, 3, 64, 4096, 65536})
+      grid.push_back({partsize, buffsize});
+  // Every partsize and every buffsize once: the views add little per
+  // config beyond the full applies, and cost far more to build.
+  const std::vector<BufferConfig> sample = {
+      {1, 3}, {7, 1}, {16, 65536}, {33, 64}, {128, 4096}, {300, 3}};
+  const CsrMatrix traced = hilbert_projection_matrix(48, 32);
+  std::vector<ParityMatrix> out;
+  out.push_back(
+      {"random", testutil::random_csr(300, 200, 0.05, 81), grid, sample});
+  out.push_back({"hilbert-forward", traced, grid, sample});
+  out.push_back({"hilbert-transpose", transpose(traced), grid, sample});
+  // Rows 40..103 empty; 301 rows leave a ragged last partition.
+  out.push_back({"random-empty-rows",
+                 random_csr_with_empty_rows(301, 150, 0.08, 40, 104, 82), grid,
+                 sample});
+  // Six rows touch ~70000 distinct columns: at buffsize 65536 every
+  // partition of more than one row fills its first stage to the last slot.
+  const std::vector<BufferConfig> wide = {
+      {1, 65536}, {4, 65536}, {7, 65536}, {16, 4096}};
+  out.push_back(
+      {"full-stage", testutil::random_csr(6, 70000, 0.9, 83), wide, wide});
+  return out;
+}
+
+/// Sets 1–4 OpenMP threads in rotation for one config of a sweep (turn t
+/// uses 1 + t % 4), restoring the previous count on exit: the sweep covers
+/// every count, builds included, without paying for all four per config.
+class RotatingThreads {
+ public:
+  explicit RotatingThreads(int turn)
+      : threads_(1 + turn % 4), saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads_);
+  }
+  ~RotatingThreads() { omp_set_num_threads(saved_); }
+  RotatingThreads(const RotatingThreads&) = delete;
+  RotatingThreads& operator=(const RotatingThreads&) = delete;
+
+  [[nodiscard]] std::string where(const char* matrix,
+                                  const BufferConfig& config) const {
+    return std::string(matrix) + " partsize=" +
+           std::to_string(config.partsize) +
+           " buffsize=" + std::to_string(config.buffsize) +
+           " threads=" + std::to_string(threads_);
+  }
+
+ private:
+  int threads_;
+  int saved_;
+};
+
+TEST(BufferedParity, FullAppliesMatchRowOrderKernelBitwise) {
+  int turn = 0;
+  for (const auto& m : parity_matrices())
+    for (const auto& config : m.configs) {
+      const RotatingThreads threads(turn++);
+      const std::string where = threads.where(m.name, config);
+      const auto ref = testutil::build_buffered_sort_and_search(m.a, config);
+      const BufferedMatrix bm = build_buffered(m.a, config);
+      const auto plan = ApplyPlan::build(partition_nnz(bm), 3);
+      Workspace ws(3, config.buffsize, config.partsize);
+      AlignedVector<real> want(static_cast<std::size_t>(m.a.num_rows));
+      AlignedVector<real> got(want.size());
+      for (const auto& x : parity_inputs(m.a.num_cols, 84)) {
+        testutil::spmv_row_order(ref, x, want);
+        std::fill(got.begin(), got.end(), -7.0f);
+        spmv_buffered(bm, x, got);
+        EXPECT_TRUE(bitwise_equal(got, want)) << "dynamic, " << where;
+        std::fill(got.begin(), got.end(), -7.0f);
+        spmv_buffered_planned(bm, plan, ws, x, got);
+        EXPECT_TRUE(bitwise_equal(got, want)) << "planned, " << where;
+      }
+      // Two NaN payloads in one sum: NaN exactly where the reference has
+      // NaN, every other output bit for bit.
+      const auto mixed = parity_inputs(m.a.num_cols, 84, true).back();
+      testutil::spmv_row_order(ref, mixed, want);
+      spmv_buffered_planned(bm, plan, ws, mixed, got);
+      EXPECT_TRUE(bitwise_equal(got, want, true)) << "mixed NaN, " << where;
+    }
+}
+
+TEST(BufferedParity, SubsetViewsMatchRowOrderKernelBitwise) {
+  int turn = 0;
+  for (const auto& m : parity_matrices()) {
+    const CsrMatrix at = transpose(m.a);
+    for (const auto& config : m.sampled) {
+      const RotatingThreads threads(turn++);
+      const std::string where = threads.where(m.name, config);
+      const auto ref = testutil::build_buffered_sort_and_search(m.a, config);
+      const auto ref_t = testutil::build_buffered_sort_and_search(at, config);
+      const BufferedMatrix bm = build_buffered(m.a, config);
+      const BufferedMatrix bt = build_buffered(at, config);
+      const auto weights = partition_nnz(bm);
+      Workspace ws(2, config.buffsize, config.partsize);
+      const auto xs = parity_inputs(m.a.num_cols, 85);
+      const auto ys = parity_inputs(m.a.num_rows, 86);
+      for (const RowRange& range :
+           make_subset_ranges(m.a.num_rows, 3, config.partsize)) {
+        const std::string in_range = where + " rows [" +
+                                     std::to_string(range.first) + ", " +
+                                     std::to_string(range.last()) + ")";
+        // Row range: the reference's rows [first, last).
+        const idx_t p0 = range.first / config.partsize;
+        const auto range_plan = ApplyPlan::build(
+            std::span<const nnz_t>(weights).subspan(
+                static_cast<std::size_t>(p0),
+                static_cast<std::size_t>(
+                    ceil_div(range.count, config.partsize))),
+            2);
+        // Column range of the transpose: the reference applied to y with
+        // every out-of-range entry zeroed. A zero adds only ±0 products to
+        // a sum that is never -0, so it leaves every bit as it was.
+        const auto index = BufferedColRange::build(bt, range);
+        const auto col_plan = ApplyPlan::build(index.part_nnz, 2);
+        for (std::size_t v = 0; v < xs.size(); ++v) {
+          AlignedVector<real> want(static_cast<std::size_t>(m.a.num_rows));
+          testutil::spmv_row_order(ref, xs[v], want);
+          const auto want_rows = std::span<const real>(want).subspan(
+              static_cast<std::size_t>(range.first),
+              static_cast<std::size_t>(range.count));
+          AlignedVector<real> got(static_cast<std::size_t>(range.count));
+          spmv_buffered_range(bm, range, xs[v], got);
+          EXPECT_TRUE(bitwise_equal(got, want_rows))
+              << "row range, " << in_range;
+          std::fill(got.begin(), got.end(), -7.0f);
+          spmv_buffered_range_planned(bm, range, range_plan, ws, xs[v], got);
+          EXPECT_TRUE(bitwise_equal(got, want_rows))
+              << "row range planned, " << in_range;
+
+          const auto y = std::span<const real>(ys[v]).subspan(
+              static_cast<std::size_t>(range.first),
+              static_cast<std::size_t>(range.count));
+          AlignedVector<real> masked(ys[v].size(), 0.0f);
+          std::copy(y.begin(), y.end(), masked.begin() + range.first);
+          AlignedVector<real> want_t(static_cast<std::size_t>(m.a.num_cols));
+          testutil::spmv_row_order(ref_t, masked, want_t);
+          AlignedVector<real> got_t(want_t.size(), -7.0f);
+          spmv_buffered_colrange(bt, index, y, got_t);
+          EXPECT_TRUE(bitwise_equal(got_t, want_t))
+              << "col range, " << in_range;
+          std::fill(got_t.begin(), got_t.end(), -7.0f);
+          spmv_buffered_colrange_planned(bt, index, col_plan, ws, y, got_t);
+          EXPECT_TRUE(bitwise_equal(got_t, want_t))
+              << "col range planned, " << in_range;
+        }
+      }
+    }
+  }
+}
+
+TEST(BufferedParity, ShardLocalKernelMatchesRowOrderKernelBitwise) {
+  // P alternates every four configs, so both shard counts meet 1–4 threads.
+  int turn = 0;
+  for (const auto& m : parity_matrices()) {
+    const CsrMatrix at = transpose(m.a);
+    const auto x = parity_inputs(m.a.num_cols, 87).back();
+    const auto y = parity_inputs(m.a.num_rows, 88).back();
+    for (const auto& config : m.sampled) {
+      const int shards = 1 + (turn / 4) % 2;
+      const RotatingThreads threads(turn++);
+      const auto ref = testutil::build_buffered_sort_and_search(m.a, config);
+      const auto ref_t = testutil::build_buffered_sort_and_search(at, config);
+      AlignedVector<real> want(static_cast<std::size_t>(m.a.num_rows));
+      AlignedVector<real> want_t(static_cast<std::size_t>(m.a.num_cols));
+      testutil::spmv_row_order(ref, x, want);
+      testutil::spmv_row_order(ref_t, y, want_t);
+      shard::ShardedOperator::Options opt;
+      opt.num_shards = shards;
+      opt.kernel = shard::LocalKernel::Buffered;
+      opt.buffer = config;
+      const shard::ShardedOperator op(m.a, opt);
+      const std::string where =
+          threads.where(m.name, config) + " shards=" + std::to_string(shards);
+      AlignedVector<real> got(want.size(), -7.0f);
+      op.apply(x, got);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "forward, " << where;
+      AlignedVector<real> got_t(want_t.size(), -7.0f);
+      op.apply_transpose(y, got_t);
+      EXPECT_TRUE(bitwise_equal(got_t, want_t)) << "transpose, " << where;
+    }
+  }
 }
 
 }  // namespace

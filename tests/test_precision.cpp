@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <string>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "core/opkey.hpp"
 #include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
+#include "hilbert/ordering.hpp"
 #include "phantom/datasets.hpp"
 #include "phantom/phantom.hpp"
 #include "pre/normalize.hpp"
@@ -29,6 +31,7 @@
 #include "sparse/compressed.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmv.hpp"
+#include "sparse/transpose.hpp"
 #include "test_util.hpp"
 
 namespace memxct::sparse {
@@ -254,6 +257,100 @@ INSTANTIATE_TEST_SUITE_P(
                       FamilyCase{"cbuf-fp32", ValueStorage::Fp32, true, 1e-5},
                       FamilyCase{"cbuf-bf16", ValueStorage::Bf16, true, 8e-3},
                       FamilyCase{"cbuf-fp16", ValueStorage::Fp16, true, 1e-3}));
+
+/// FNV-1a over an array's bytes and its length.
+template <class V>
+void fingerprint(std::uint64_t& h, const V& v) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  const std::size_t n = v.size() * sizeof(typename V::value_type);
+  const std::uint64_t size = v.size();
+  const auto* len = reinterpret_cast<const unsigned char*>(&size);
+  for (std::size_t i = 0; i < n + sizeof(size); ++i) {
+    h ^= i < n ? bytes[i] : len[i - n];
+    h *= 1099511628211ull;
+  }
+}
+
+TEST(CompressedBuffered, StreamsMatchGoldens) {
+  // Fingerprints of every CompressedBuffered array, recorded from the
+  // row-run buffered layout before the in-stage sliced layout replaced it:
+  // compress_buffered reads the sliced layout's row runs, and its streams
+  // must not move by a single byte.
+  const auto g = geometry::make_geometry(48, 32);
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const CsrMatrix traced = geometry::build_projection_matrix(g, sino, tomo);
+  const std::map<std::string, CsrMatrix> matrices = {
+      {"random", testutil::random_csr(173, 131, 0.07, 42)},
+      {"hilbert-forward", traced},
+      {"hilbert-transpose", transpose(traced)},
+  };
+  const struct {
+    const char* matrix;
+    BufferConfig config;
+    ValueStorage storage;
+    std::uint64_t fingerprint;
+  } goldens[] = {
+      {"random", {7, 3}, ValueStorage::Fp32, 0x4966a888edf637ebull},
+      {"random", {7, 3}, ValueStorage::Bf16, 0xe792c95b396de7ffull},
+      {"random", {7, 3}, ValueStorage::Fp16, 0x78ff7da1c3524688ull},
+      {"random", {16, 64}, ValueStorage::Fp32, 0x62030467213c7308ull},
+      {"random", {16, 64}, ValueStorage::Bf16, 0xbba55fae1cc3ff8cull},
+      {"random", {16, 64}, ValueStorage::Fp16, 0x153b627de7553bbfull},
+      {"random", {33, 4096}, ValueStorage::Fp32, 0xdc6c645d807712a4ull},
+      {"random", {33, 4096}, ValueStorage::Bf16, 0x22383f4175c8b614ull},
+      {"random", {33, 4096}, ValueStorage::Fp16, 0x555b3e51d975a527ull},
+      {"random", {128, 4096}, ValueStorage::Fp32, 0x8e0082cdfbe96413ull},
+      {"random", {128, 4096}, ValueStorage::Bf16, 0xd78e3b980223aff7ull},
+      {"random", {128, 4096}, ValueStorage::Fp16, 0x396bc3a2b7f1b284ull},
+      {"hilbert-forward", {7, 3}, ValueStorage::Fp32, 0xb23e34d5baf1f9a9ull},
+      {"hilbert-forward", {7, 3}, ValueStorage::Bf16, 0x95dcd8fbc87194a5ull},
+      {"hilbert-forward", {7, 3}, ValueStorage::Fp16, 0xa092843da54713ddull},
+      {"hilbert-forward", {16, 64}, ValueStorage::Fp32, 0xf1dcf8d36f35bc06ull},
+      {"hilbert-forward", {16, 64}, ValueStorage::Bf16, 0x0b18f50b34274566ull},
+      {"hilbert-forward", {16, 64}, ValueStorage::Fp16, 0x4550f11047c19e86ull},
+      {"hilbert-forward", {33, 4096}, ValueStorage::Fp32, 0xcda2a11c54d32157ull},
+      {"hilbert-forward", {33, 4096}, ValueStorage::Bf16, 0x8efa0e320bd18eafull},
+      {"hilbert-forward", {33, 4096}, ValueStorage::Fp16, 0xe12e375962343953ull},
+      {"hilbert-forward", {128, 4096}, ValueStorage::Fp32, 0x39231c3d0007bca8ull},
+      {"hilbert-forward", {128, 4096}, ValueStorage::Bf16, 0xa1f7684ada65fbb0ull},
+      {"hilbert-forward", {128, 4096}, ValueStorage::Fp16, 0xe37b348722e83ddcull},
+      {"hilbert-transpose", {7, 3}, ValueStorage::Fp32, 0xd572b5adcb3a5f5full},
+      {"hilbert-transpose", {7, 3}, ValueStorage::Bf16, 0x4c44f5e825465e8bull},
+      {"hilbert-transpose", {7, 3}, ValueStorage::Fp16, 0x67e068fb48093547ull},
+      {"hilbert-transpose", {16, 64}, ValueStorage::Fp32, 0x46700d77e8d0b5c7ull},
+      {"hilbert-transpose", {16, 64}, ValueStorage::Bf16, 0x582a0fb57f5fe4ffull},
+      {"hilbert-transpose", {16, 64}, ValueStorage::Fp16, 0x39dc8d6435204edbull},
+      {"hilbert-transpose", {33, 4096}, ValueStorage::Fp32, 0xff6b078b8858a35aull},
+      {"hilbert-transpose", {33, 4096}, ValueStorage::Bf16, 0x404ad8cec321e35eull},
+      {"hilbert-transpose", {33, 4096}, ValueStorage::Fp16, 0x10b0692616bd4a4eull},
+      {"hilbert-transpose", {128, 4096}, ValueStorage::Fp32, 0x07d409f5ceb3de0dull},
+      {"hilbert-transpose", {128, 4096}, ValueStorage::Bf16, 0x17a7076db3409ee9ull},
+      {"hilbert-transpose", {128, 4096}, ValueStorage::Fp16, 0x61dd964467c9fa51ull},
+  };
+  for (const auto& golden : goldens) {
+    const CompressedBuffered c = compress_buffered(
+        build_buffered(matrices.at(golden.matrix), golden.config),
+        golden.storage);
+    std::uint64_t h = 1469598103934665603ull;
+    fingerprint(h, c.partdispl);
+    fingerprint(h, c.stagedispl);
+    fingerprint(h, c.stagenz);
+    fingerprint(h, c.part_map_bytes);
+    fingerprint(h, c.map_bytes);
+    fingerprint(h, c.displ);
+    fingerprint(h, c.part_ind_bytes);
+    fingerprint(h, c.ind_bytes);
+    fingerprint(h, c.val16);
+    fingerprint(h, c.val32);
+    EXPECT_EQ(h, golden.fingerprint)
+        << golden.matrix << " partsize=" << golden.config.partsize
+        << " buffsize=" << golden.config.buffsize << " "
+        << to_string(golden.storage);
+  }
+}
 
 TEST(CompressedKernels, QuantizedReferenceIsFp32Accurate) {
   // Against the fp64 reference on the QUANTIZED values the only remaining

@@ -1,10 +1,16 @@
 // Tests for the SIMT memory-access model and kernel analyses.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "geometry/projector.hpp"
+#include "hilbert/ordering.hpp"
 #include "simt/kernel_analysis.hpp"
+#include "sparse/buffered.hpp"
 #include "test_util.hpp"
 
 namespace memxct::simt {
@@ -118,6 +124,45 @@ TEST(BufferedAnalysis, ScatteredMatrixStagesWorse) {
   EXPECT_GT(r_random.staging_per_step(), 1.2 * r_banded.staging_per_step());
   EXPECT_GT(static_cast<double>(bm_random.total_staged()),
             1.5 * static_cast<double>(bm_banded.total_staged()));
+}
+
+TEST(BufferedAnalysis, ReportsMatchGoldens) {
+  // Report fields recorded from the row-run buffered layout before the
+  // in-stage sliced layout replaced it, at bench_gpu_coalescing's 48 KB
+  // shared-memory configuration and a smaller one: the analysis walks each
+  // row's run through BufferedMatrix::row_run, so no count may move.
+  const struct {
+    hilbert::CurveKind ordering;
+    sparse::BufferConfig config;
+    std::int64_t staging_warp_steps, staging_transactions,
+        compute_warp_steps, bank_conflict_steps;
+    std::uint64_t mean_conflict_bits;
+    double max_conflict_degree;
+  } goldens[] = {
+      {hilbert::CurveKind::RowMajor, {512, 12288}, 1476, 2729, 17748, 15089, 0x401f93a54d066782ull, 32},
+      {hilbert::CurveKind::RowMajor, {64, 1024}, 3876, 7619, 7960, 5949, 0x400ec65e2ab5a4ecull, 16},
+      {hilbert::CurveKind::Hilbert, {512, 12288}, 789, 1503, 16276, 14894, 0x40032b795ccc9943ull, 6},
+      {hilbert::CurveKind::Hilbert, {64, 1024}, 743, 1714, 5465, 4971, 0x4003069add61f32aull, 5},
+  };
+  for (const auto& golden : goldens) {
+    const auto g = geometry::make_geometry(96, 64);
+    const hilbert::Ordering sino(g.sinogram_extent(), golden.ordering, 4);
+    const hilbert::Ordering tomo(g.tomogram_extent(), golden.ordering, 4);
+    const auto bm = sparse::build_buffered(
+        geometry::build_projection_matrix(g, sino, tomo), golden.config);
+    const auto r = analyze_buffered_spmv(bm, {}, 32);
+    SCOPED_TRACE(std::string(hilbert::to_string(golden.ordering)) +
+                 " partsize=" +
+                 std::to_string(golden.config.partsize));
+    EXPECT_EQ(r.staging_warp_steps, golden.staging_warp_steps);
+    EXPECT_EQ(r.staging_transactions, golden.staging_transactions);
+    EXPECT_EQ(r.compute_warp_steps, golden.compute_warp_steps);
+    EXPECT_EQ(r.bank_conflict_steps, golden.bank_conflict_steps);
+    std::uint64_t mean_bits = 0;
+    std::memcpy(&mean_bits, &r.mean_conflict_degree, sizeof(mean_bits));
+    EXPECT_EQ(mean_bits, golden.mean_conflict_bits);
+    EXPECT_EQ(r.max_conflict_degree, golden.max_conflict_degree);
+  }
 }
 
 }  // namespace

@@ -67,13 +67,16 @@ inline double max_abs_diff(std::span<const real> a, std::span<const real> b) {
   return m;
 }
 
-/// True when two vectors hold the same elements byte for byte.
-template <class Vec>
-bool same_bytes(const Vec& a, const Vec& b) {
+/// True when two vectors (of any container types with same-size elements)
+/// hold the same elements byte for byte.
+template <class A, class B>
+bool same_bytes(const A& a, const B& b) {
+  static_assert(sizeof(typename A::value_type) ==
+                sizeof(typename B::value_type));
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(),
-                      a.size() * sizeof(typename Vec::value_type)) == 0);
+                      a.size() * sizeof(typename A::value_type)) == 0);
 }
 
 /// Relative L2 error ||a-b|| / max(||b||, eps).
