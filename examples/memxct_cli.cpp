@@ -386,7 +386,7 @@ int run(int argc, char** argv) {
       recon.serial_op() != nullptr) {
     const auto fwd = recon.serial_op()->forward_work();
     std::printf("%s values + varint indices: %.2f matrix B/FMA (fp32 %s "
-                "streams %.0f)\n",
+                "streams %.0f per stored entry)\n",
                 sparse::to_string(config.precision), fwd.bytes_per_fma(),
                 config.kernel == core::KernelKind::Buffered ? "buffered"
                                                             : "baseline",
