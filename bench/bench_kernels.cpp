@@ -24,7 +24,6 @@
 
 #include "bench_util.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmv.hpp"
@@ -42,8 +41,7 @@ struct Fixtures {
   sparse::CsrMatrix ordered;
   sparse::BufferedMatrix buffered;
   sparse::EllBlockMatrix ell;
-  sparse::CompressedCsr ccsr_bf16;
-  sparse::CompressedBuffered cbuf_bf16;
+  sparse::BufferedMatrix buffered_bf16;
   sparse::ApplyPlan plan_natural, plan_ordered, plan_buffered, plan_ell;
   sparse::Workspace ws_buffered, ws_ell;
   AlignedVector<real> x, y;
@@ -54,9 +52,8 @@ struct Fixtures {
     ordered = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
     buffered = sparse::build_buffered(ordered, {128, 4096});
     ell = sparse::to_ell_block(ordered, 64);
-    ccsr_bf16 = sparse::compress_csr(ordered, sparse::kCsrPartsize,
-                                     sparse::ValueStorage::Bf16);
-    cbuf_bf16 = sparse::compress_buffered(buffered, sparse::ValueStorage::Bf16);
+    buffered_bf16 = buffered;
+    sparse::quantize_values(buffered_bf16, sparse::ValueStorage::Bf16);
     const int slots = omp_get_max_threads();
     plan_natural = sparse::ApplyPlan::build(
         sparse::partition_nnz(natural, sparse::kCsrPartsize), slots);
@@ -148,19 +145,12 @@ void BM_SpmvEllBlockPlanned(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvEllBlockPlanned);
 
-void BM_SpmvCompressedCsrBf16(benchmark::State& state) {
+void BM_SpmvBufferedBf16(benchmark::State& state) {
   auto& f = fixtures();
-  for (auto _ : state) sparse::spmv_ccsr(f.ccsr_bf16, f.x, f.y);
-  set_counters(state, sparse::ccsr_work(f.ccsr_bf16));
+  for (auto _ : state) sparse::spmv_buffered(f.buffered_bf16, f.x, f.y);
+  set_counters(state, sparse::buffered_work(f.buffered_bf16));
 }
-BENCHMARK(BM_SpmvCompressedCsrBf16);
-
-void BM_SpmvCompressedBufferedBf16(benchmark::State& state) {
-  auto& f = fixtures();
-  for (auto _ : state) sparse::spmv_cbuffered(f.cbuf_bf16, f.x, f.y);
-  set_counters(state, sparse::cbuffered_work(f.cbuf_bf16));
-}
-BENCHMARK(BM_SpmvCompressedBufferedBf16);
+BENCHMARK(BM_SpmvBufferedBf16);
 
 void BM_ScanTranspose(benchmark::State& state) {
   auto& f = fixtures();
@@ -227,23 +217,15 @@ int run_json(const std::string& path, const std::string& schedule_filter) {
                                        f.ws_buffered, f.x, f.y);
        },
        sparse::buffered_work(f.buffered), f.plan_buffered.stats().imbalance()},
-      {"ccsr-bf16", "dynamic",
-       [&] { sparse::spmv_ccsr(f.ccsr_bf16, f.x, f.y); },
-       sparse::ccsr_work(f.ccsr_bf16), 0.0},
-      {"ccsr-bf16", "static-plan",
+      {"buffered-bf16", "dynamic",
+       [&] { sparse::spmv_buffered(f.buffered_bf16, f.x, f.y); },
+       sparse::buffered_work(f.buffered_bf16), 0.0},
+      {"buffered-bf16", "static-plan",
        [&] {
-         sparse::spmv_ccsr_planned(f.ccsr_bf16, f.plan_ordered, f.x, f.y);
+         sparse::spmv_buffered_planned(f.buffered_bf16, f.plan_buffered,
+                                       f.ws_buffered, f.x, f.y);
        },
-       sparse::ccsr_work(f.ccsr_bf16), f.plan_ordered.stats().imbalance()},
-      {"cbuffered-bf16", "dynamic",
-       [&] { sparse::spmv_cbuffered(f.cbuf_bf16, f.x, f.y); },
-       sparse::cbuffered_work(f.cbuf_bf16), 0.0},
-      {"cbuffered-bf16", "static-plan",
-       [&] {
-         sparse::spmv_cbuffered_planned(f.cbuf_bf16, f.plan_buffered,
-                                        f.ws_buffered, f.x, f.y);
-       },
-       sparse::cbuffered_work(f.cbuf_bf16),
+       sparse::buffered_work(f.buffered_bf16),
        f.plan_buffered.stats().imbalance()},
   };
 

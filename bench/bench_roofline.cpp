@@ -8,10 +8,9 @@
 // derives the attainable GFLOPS ceiling per machine, and reports the
 // measured host fraction of its own ceiling, plus the stored-to-real entry
 // ratio of the padded layouts (block-ELL, sliced buffered), whose padding
-// is streamed and charged to B/FMA. The compressed rows carry
-// MEASURED per-FMA byte widths (16-bit values + delta/varint indices), so
-// their higher intensity — and the B/FMA reduction vs fp32 — comes from
-// the actual encoded streams, not a model constant.
+// is streamed and charged to B/FMA over the real nonzeros. The bf16/fp16
+// rows are the buffered layout with 16-bit values: 4 B/FMA times the same
+// padding, against 6 at fp32.
 //
 //   bench_roofline [--json <path>]
 #include <cstdio>
@@ -22,7 +21,6 @@
 #include "io/table.hpp"
 #include "perf/machine_model.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/spmv.hpp"
 
@@ -44,9 +42,10 @@ int main(int argc, char** argv) {
   const auto a = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
   const auto bm = sparse::build_buffered(a, {128, 4096});
   const auto ell = sparse::to_ell_block(a, 64);
-  const auto ccsr =
-      sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Bf16);
-  const auto cbuf = sparse::compress_buffered(bm, sparse::ValueStorage::Bf16);
+  auto bm_bf16 = bm;
+  sparse::quantize_values(bm_bf16, sparse::ValueStorage::Bf16);
+  auto bm_fp16 = bm;
+  sparse::quantize_values(bm_fp16, sparse::ValueStorage::Fp16);
 
   AlignedVector<real> x(static_cast<std::size_t>(a.num_cols), 1.0f);
   AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
@@ -67,15 +66,16 @@ int main(int argc, char** argv) {
        bench::time_kernel([&] { sparse::spmv_csr(a, x, y); }), 1.0},
       {"block-ELL", sparse::ell_work(ell),
        bench::time_kernel([&] { sparse::spmv_ell(ell, x, y); }),
-       ratio(ell.padded_nnz(), a.nnz())},
+       ratio(ell.padded_nnz(), ell.real_nnz)},
       {"multi-stage buffered", sparse::buffered_work(bm),
        bench::time_kernel([&] { sparse::spmv_buffered(bm, x, y); }),
        ratio(bm.padded_nnz(), bm.nnz())},
-      {"compressed CSR bf16", sparse::ccsr_work(ccsr),
-       bench::time_kernel([&] { sparse::spmv_ccsr(ccsr, x, y); }), 1.0},
-      {"compressed buffered bf16", sparse::cbuffered_work(cbuf),
-       bench::time_kernel([&] { sparse::spmv_cbuffered(cbuf, x, y); }),
-       1.0},
+      {"buffered bf16", sparse::buffered_work(bm_bf16),
+       bench::time_kernel([&] { sparse::spmv_buffered(bm_bf16, x, y); }),
+       ratio(bm_bf16.padded_nnz(), bm_bf16.nnz())},
+      {"buffered fp16", sparse::buffered_work(bm_fp16),
+       bench::time_kernel([&] { sparse::spmv_buffered(bm_fp16, x, y); }),
+       ratio(bm_fp16.padded_nnz(), bm_fp16.nnz())},
   };
 
   // "padded" is stored entries per real nonzero: block-ELL pads each block
@@ -117,10 +117,10 @@ int main(int argc, char** argv) {
       "\nReading: the buffered kernel's higher intensity (6 B vs 8 B per\n"
       "FMA, times its few-percent padding) raises its roofline over\n"
       "baseline (depending on the staging overhead) — Section 3.3.5 in\n"
-      "roofline form; bf16 values +\n"
-      "varint indices push the matrix stream below 4 B/FMA. All\n"
-      "intensities are << 1 FLOP/byte: memory-bound everywhere, exactly\n"
-      "the regime the memory-centric design targets.\n");
+      "roofline form; 16-bit values cut its matrix stream to 4 B/FMA\n"
+      "times the same padding. All intensities are << 1 FLOP/byte:\n"
+      "memory-bound everywhere, exactly the regime the memory-centric\n"
+      "design targets.\n");
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");

@@ -24,11 +24,12 @@
 //   --autotune-json FILE       write the measured candidate table (the same
 //                              schema bench_fig10_tuning --json emits)
 //   --precision fp32|bf16|fp16 operator value storage      (default fp32;
-//                              bf16/fp16 also varint-compress the indices,
-//                              buffered/baseline kernels only)
+//                              bf16/fp16 store the buffered layout's values
+//                              in 16 bits, serial or sharded, any solver;
+//                              buffered kernel only)
 //   --shards P                 shard the operator across P simulated ranks
-//                              behind the serving stack (fp32
-//                              buffered/baseline only)
+//                              behind the serving stack (buffered/baseline
+//                              only)
 //   --exchange duplicate|reduce   sharded forward exchange: duplicate moves
 //                              tomogram copies (bitwise identical to P=1);
 //                              reduce moves the paper's partial sums over
@@ -384,15 +385,14 @@ int run(int argc, char** argv) {
   }
   if (config.precision != sparse::ValueStorage::Fp32 &&
       recon.serial_op() != nullptr) {
+    // Both widths are charged over the real nonzeros, padding included:
+    // the index term is 2 B times the stored-to-real entry ratio.
     const auto fwd = recon.serial_op()->forward_work();
-    std::printf("%s values + varint indices: %.2f matrix B/FMA (fp32 %s "
-                "streams %.0f per stored entry)\n",
+    const double padding = fwd.index_bytes_per_fma / sizeof(buf_idx_t);
+    std::printf("%s values: %.2f matrix B/FMA (fp32 values in the same "
+                "layout: %.2f)\n",
                 sparse::to_string(config.precision), fwd.bytes_per_fma(),
-                config.kernel == core::KernelKind::Buffered ? "buffered"
-                                                            : "baseline",
-                config.kernel == core::KernelKind::Buffered
-                    ? perf::RegularBytes::kBuffered
-                    : perf::RegularBytes::kBaseline);
+                perf::RegularBytes::kBuffered * padding);
   }
 
   if (slices > 1) {

@@ -73,10 +73,10 @@ struct Config {
   /// block workspaces are sized per width).
   int block_width = 1;
   /// Operator value storage (sparse/precision.hpp). Fp32 keeps the
-  /// historical uncompressed layouts bit for bit; Bf16/Fp16 store the
-  /// memoized matrices with 16-bit values + delta/varint indices
-  /// (sparse/compressed.hpp), supported for the Baseline and Buffered
-  /// kernels. Part of the operator identity (opkey suffix "-v<precision>").
+  /// values as fp32; Bf16/Fp16 store the buffered layout's values in 16
+  /// bits (sparse::quantize_values), on the serial and the sharded path
+  /// alike. Buffered kernel only (supports_reduced_precision). Part of the
+  /// operator identity (opkey suffix "-v<precision>").
   sparse::ValueStorage precision = sparse::ValueStorage::Fp32;
 
   /// Operator-build autotuning (src/tune): Off keeps the fields above as
@@ -160,10 +160,18 @@ struct Config {
          config.shard_exchange == shard::Exchange::Reduce;
 }
 
+/// Whether `kernel` can store its values at bf16/fp16: only the buffered
+/// layout has a 16-bit value array. validate_config and the degradation
+/// ladder (serve::apply_rung) both ask this one predicate.
+[[nodiscard]] inline bool supports_reduced_precision(
+    KernelKind kernel) noexcept {
+  return kernel == KernelKind::Buffered;
+}
+
 /// Single source of truth for configuration-combination support: throws
 /// InvalidArgument for out-of-range scalar fields and the typed
-/// UnsupportedConfigError for pairwise flag conflicts (shards+precision,
-/// shards+kernel, kernel+precision). Called by the Reconstructor build
+/// UnsupportedConfigError for the two pairwise flag conflicts
+/// (shards+kernel, kernel+precision). Called by the Reconstructor build
 /// path, serve admission, and the autotuner's candidate pruning, so all
 /// three agree on what is legal.
 void validate_config(const Config& config);

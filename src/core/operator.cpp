@@ -9,7 +9,6 @@
 #include "common/grid.hpp"
 #include "common/interleave.hpp"
 #include "core/subset.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/spmm.hpp"
@@ -78,12 +77,10 @@ struct MemXCTOperator::Storage {
   idx_t num_rows = 0, num_cols = 0;
   nnz_t nnz = 0;
   std::int64_t regular_bytes = 0;
-  // Exactly one pair below is populated, matching kind and precision.
+  // Exactly one pair below is populated, matching kind.
   std::optional<sparse::CsrMatrix> csr_fwd, csr_bwd;
   std::optional<sparse::EllBlockMatrix> ell_fwd, ell_bwd;
   std::optional<sparse::BufferedMatrix> buf_fwd, buf_bwd;
-  std::optional<sparse::CompressedCsr> ccsr_fwd, ccsr_bwd;
-  std::optional<sparse::CompressedBuffered> cbuf_fwd, cbuf_bwd;
   // Static-plan partition → slot assignments (built once at construction).
   sparse::ApplyPlan plan_fwd, plan_bwd;
 };
@@ -92,13 +89,11 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
                                const sparse::BufferConfig& buffer,
                                idx_t ell_block_rows, ScheduleKind schedule,
                                sparse::ValueStorage precision) {
-  const bool compressed = precision != sparse::ValueStorage::Fp32;
-  if (compressed &&
-      !(kind == KernelKind::Baseline || kind == KernelKind::Buffered))
-    throw InvalidArgument(std::string("compressed precision ") +
+  if (precision != sparse::ValueStorage::Fp32 &&
+      !supports_reduced_precision(kind))
+    throw InvalidArgument(std::string("reduced precision ") +
                           sparse::to_string(precision) +
-                          " is only supported for the baseline CSR and "
-                          "buffered kernels, not " +
+                          " is only supported for the buffered kernel, not " +
                           to_string(kind));
   auto s = std::make_shared<Storage>();
   s->kind = kind;
@@ -110,15 +105,6 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
   sparse::CsrMatrix at = sparse::transpose(a);
   switch (kind) {
     case KernelKind::Baseline:
-      if (compressed) {
-        s->ccsr_fwd = sparse::compress_csr(a, sparse::kCsrPartsize, precision);
-        s->ccsr_bwd =
-            sparse::compress_csr(at, sparse::kCsrPartsize, precision);
-        s->regular_bytes =
-            s->ccsr_fwd->regular_bytes() + s->ccsr_bwd->regular_bytes();
-        break;
-      }
-      [[fallthrough]];
     case KernelKind::Library:
       s->regular_bytes = a.regular_bytes() + at.regular_bytes();
       s->csr_fwd = std::move(a);
@@ -134,21 +120,12 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
     case KernelKind::Buffered:
       // Each staging CSR is released as soon as its direction is built, so
       // the build never holds A, A^T and both built directions at once.
-      if (compressed) {
-        s->cbuf_fwd = sparse::compress_buffered(
-            sparse::build_buffered(a, buffer), precision);
-        a = sparse::CsrMatrix{};
-        s->cbuf_bwd = sparse::compress_buffered(
-            sparse::build_buffered(at, buffer), precision);
-        at = sparse::CsrMatrix{};
-        s->regular_bytes =
-            s->cbuf_fwd->regular_bytes() + s->cbuf_bwd->regular_bytes();
-        break;
-      }
       s->buf_fwd = sparse::build_buffered(a, buffer);
       a = sparse::CsrMatrix{};
+      sparse::quantize_values(*s->buf_fwd, precision);
       s->buf_bwd = sparse::build_buffered(at, buffer);
       at = sparse::CsrMatrix{};
+      sparse::quantize_values(*s->buf_bwd, precision);
       s->regular_bytes = s->buf_fwd->bytes() + s->buf_bwd->bytes();
       break;
   }
@@ -161,13 +138,6 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
     const int slots = omp_get_max_threads();
     switch (kind) {
       case KernelKind::Baseline:
-        if (compressed) {
-          s->plan_fwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->ccsr_fwd), slots);
-          s->plan_bwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->ccsr_bwd), slots);
-          break;
-        }
         s->plan_fwd = sparse::ApplyPlan::build(
             sparse::partition_nnz(*s->csr_fwd, sparse::kCsrPartsize), slots);
         s->plan_bwd = sparse::ApplyPlan::build(
@@ -183,13 +153,6 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
             sparse::ApplyPlan::build(sparse::partition_nnz(*s->ell_bwd), slots);
         break;
       case KernelKind::Buffered:
-        if (compressed) {
-          s->plan_fwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->cbuf_fwd), slots);
-          s->plan_bwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->cbuf_bwd), slots);
-          break;
-        }
         s->plan_fwd =
             sparse::ApplyPlan::build(sparse::partition_nnz(*s->buf_fwd), slots);
         s->plan_bwd =
@@ -214,9 +177,6 @@ std::unique_ptr<MemXCTOperator> MemXCTOperator::make_view() const {
 
 idx_t MemXCTOperator::row_partition_size() const {
   const Storage& s = *store_;
-  if (s.precision != sparse::ValueStorage::Fp32)
-    throw InvalidArgument(
-        "subset views are not supported for compressed operator storage");
   switch (s.kind) {
     case KernelKind::Baseline:
       return sparse::kCsrPartsize;
@@ -307,17 +267,14 @@ void MemXCTOperator::build_workspaces() {
       ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(), 0,
                                   s.ell_bwd->block_rows);
       break;
-    case KernelKind::Buffered: {
-      const auto& cfg_fwd =
-          s.cbuf_fwd ? s.cbuf_fwd->config : s.buf_fwd->config;
-      const auto& cfg_bwd =
-          s.cbuf_bwd ? s.cbuf_bwd->config : s.buf_bwd->config;
-      ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(), cfg_fwd.buffsize,
-                                  cfg_fwd.partsize);
-      ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(), cfg_bwd.buffsize,
-                                  cfg_bwd.partsize);
+    case KernelKind::Buffered:
+      ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(),
+                                  s.buf_fwd->config.buffsize,
+                                  s.buf_fwd->config.partsize);
+      ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(),
+                                  s.buf_bwd->config.buffsize,
+                                  s.buf_bwd->config.partsize);
       break;
-    }
   }
 }
 
@@ -351,17 +308,11 @@ void MemXCTOperator::apply(std::span<const real> x, std::span<real> y) const {
   const bool planned = s.schedule == ScheduleKind::StaticPlan;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.ccsr_fwd) {
-        if (planned)
-          sparse::spmv_ccsr_planned(*s.ccsr_fwd, s.plan_fwd, x, y);
-        else
-          sparse::spmv_ccsr(*s.ccsr_fwd, x, y);
-      } else if (planned) {
+      if (planned)
         sparse::spmv_csr_planned(*s.csr_fwd, sparse::kCsrPartsize, s.plan_fwd,
                                  x, y);
-      } else {
+      else
         sparse::spmv_csr(*s.csr_fwd, x, y);
-      }
       break;
     case KernelKind::Library:
       sparse::spmv_library(*s.csr_fwd, x, y);
@@ -373,17 +324,10 @@ void MemXCTOperator::apply(std::span<const real> x, std::span<real> y) const {
         sparse::spmv_ell(*s.ell_fwd, x, y);
       break;
     case KernelKind::Buffered:
-      if (s.cbuf_fwd) {
-        if (planned)
-          sparse::spmv_cbuffered_planned(*s.cbuf_fwd, s.plan_fwd, ws_fwd_, x,
-                                         y);
-        else
-          sparse::spmv_cbuffered(*s.cbuf_fwd, x, y);
-      } else if (planned) {
+      if (planned)
         sparse::spmv_buffered_planned(*s.buf_fwd, s.plan_fwd, ws_fwd_, x, y);
-      } else {
+      else
         sparse::spmv_buffered(*s.buf_fwd, x, y);
-      }
       break;
   }
 }
@@ -394,17 +338,11 @@ void MemXCTOperator::apply_transpose(std::span<const real> y,
   const bool planned = s.schedule == ScheduleKind::StaticPlan;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.ccsr_bwd) {
-        if (planned)
-          sparse::spmv_ccsr_planned(*s.ccsr_bwd, s.plan_bwd, y, x);
-        else
-          sparse::spmv_ccsr(*s.ccsr_bwd, y, x);
-      } else if (planned) {
+      if (planned)
         sparse::spmv_csr_planned(*s.csr_bwd, sparse::kCsrPartsize, s.plan_bwd,
                                  y, x);
-      } else {
+      else
         sparse::spmv_csr(*s.csr_bwd, y, x);
-      }
       break;
     case KernelKind::Library:
       sparse::spmv_library(*s.csr_bwd, y, x);
@@ -416,17 +354,10 @@ void MemXCTOperator::apply_transpose(std::span<const real> y,
         sparse::spmv_ell(*s.ell_bwd, y, x);
       break;
     case KernelKind::Buffered:
-      if (s.cbuf_bwd) {
-        if (planned)
-          sparse::spmv_cbuffered_planned(*s.cbuf_bwd, s.plan_bwd, ws_bwd_, y,
-                                         x);
-        else
-          sparse::spmv_cbuffered(*s.cbuf_bwd, y, x);
-      } else if (planned) {
+      if (planned)
         sparse::spmv_buffered_planned(*s.buf_bwd, s.plan_bwd, ws_bwd_, y, x);
-      } else {
+      else
         sparse::spmv_buffered(*s.buf_bwd, y, x);
-      }
       break;
   }
 }
@@ -453,19 +384,14 @@ BlockWorkspace MemXCTOperator::make_block_workspace(idx_t k) const {
         ws.ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(), 0,
                                        s.ell_bwd->block_rows * k);
         break;
-      case KernelKind::Buffered: {
-        const auto& cfg_fwd =
-            s.cbuf_fwd ? s.cbuf_fwd->config : s.buf_fwd->config;
-        const auto& cfg_bwd =
-            s.cbuf_bwd ? s.cbuf_bwd->config : s.buf_bwd->config;
+      case KernelKind::Buffered:
         ws.ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(),
-                                       cfg_fwd.buffsize * k,
-                                       cfg_fwd.partsize * k);
+                                       s.buf_fwd->config.buffsize * k,
+                                       s.buf_fwd->config.partsize * k);
         ws.ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(),
-                                       cfg_bwd.buffsize * k,
-                                       cfg_bwd.partsize * k);
+                                       s.buf_bwd->config.buffsize * k,
+                                       s.buf_bwd->config.partsize * k);
         break;
-      }
     }
   }
   return ws;
@@ -486,17 +412,11 @@ void MemXCTOperator::apply_block(std::span<const real> x, std::span<real> y,
   const bool planned = s.schedule == ScheduleKind::StaticPlan;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.ccsr_fwd) {
-        if (planned)
-          sparse::spmm_ccsr_planned(*s.ccsr_fwd, s.plan_fwd, k, xi, yi);
-        else
-          sparse::spmm_ccsr(*s.ccsr_fwd, k, xi, yi);
-      } else if (planned) {
+      if (planned)
         sparse::spmm_csr_planned(*s.csr_fwd, sparse::kCsrPartsize, s.plan_fwd,
                                  k, xi, yi);
-      } else {
+      else
         sparse::spmm_csr(*s.csr_fwd, k, xi, yi);
-      }
       break;
     case KernelKind::Library:
       sparse::spmm_library(*s.csr_fwd, k, xi, yi);
@@ -509,18 +429,11 @@ void MemXCTOperator::apply_block(std::span<const real> x, std::span<real> y,
         sparse::spmm_ell(*s.ell_fwd, k, xi, yi);
       break;
     case KernelKind::Buffered:
-      if (s.cbuf_fwd) {
-        if (planned)
-          sparse::spmm_cbuffered_planned(*s.cbuf_fwd, s.plan_fwd, ws.ws_fwd_,
-                                         k, xi, yi);
-        else
-          sparse::spmm_cbuffered(*s.cbuf_fwd, k, xi, yi);
-      } else if (planned) {
+      if (planned)
         sparse::spmm_buffered_planned(*s.buf_fwd, s.plan_fwd, ws.ws_fwd_, k,
                                       xi, yi);
-      } else {
+      else
         sparse::spmm_buffered(*s.buf_fwd, k, xi, yi);
-      }
       break;
   }
   common::deinterleave(yi, m, k, y);
@@ -542,17 +455,11 @@ void MemXCTOperator::apply_transpose_block(std::span<const real> y,
   const bool planned = s.schedule == ScheduleKind::StaticPlan;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.ccsr_bwd) {
-        if (planned)
-          sparse::spmm_ccsr_planned(*s.ccsr_bwd, s.plan_bwd, k, yi, xi);
-        else
-          sparse::spmm_ccsr(*s.ccsr_bwd, k, yi, xi);
-      } else if (planned) {
+      if (planned)
         sparse::spmm_csr_planned(*s.csr_bwd, sparse::kCsrPartsize, s.plan_bwd,
                                  k, yi, xi);
-      } else {
+      else
         sparse::spmm_csr(*s.csr_bwd, k, yi, xi);
-      }
       break;
     case KernelKind::Library:
       sparse::spmm_library(*s.csr_bwd, k, yi, xi);
@@ -565,18 +472,11 @@ void MemXCTOperator::apply_transpose_block(std::span<const real> y,
         sparse::spmm_ell(*s.ell_bwd, k, yi, xi);
       break;
     case KernelKind::Buffered:
-      if (s.cbuf_bwd) {
-        if (planned)
-          sparse::spmm_cbuffered_planned(*s.cbuf_bwd, s.plan_bwd, ws.ws_bwd_,
-                                         k, yi, xi);
-        else
-          sparse::spmm_cbuffered(*s.cbuf_bwd, k, yi, xi);
-      } else if (planned) {
+      if (planned)
         sparse::spmm_buffered_planned(*s.buf_bwd, s.plan_bwd, ws.ws_bwd_, k,
                                       yi, xi);
-      } else {
+      else
         sparse::spmm_buffered(*s.buf_bwd, k, yi, xi);
-      }
       break;
   }
   common::deinterleave(xi, n, k, x);
@@ -600,14 +500,11 @@ perf::KernelWork MemXCTOperator::forward_work() const {
   const Storage& s = *store_;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.ccsr_fwd) return sparse::ccsr_work(*s.ccsr_fwd);
-      [[fallthrough]];
     case KernelKind::Library:
       return sparse::csr_work(*s.csr_fwd);
     case KernelKind::EllBlock:
       return sparse::ell_work(*s.ell_fwd);
     case KernelKind::Buffered:
-      if (s.cbuf_fwd) return sparse::cbuffered_work(*s.cbuf_fwd);
       return sparse::buffered_work(*s.buf_fwd);
   }
   return {};
@@ -617,14 +514,11 @@ perf::KernelWork MemXCTOperator::transpose_work() const {
   const Storage& s = *store_;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.ccsr_bwd) return sparse::ccsr_work(*s.ccsr_bwd);
-      [[fallthrough]];
     case KernelKind::Library:
       return sparse::csr_work(*s.csr_bwd);
     case KernelKind::EllBlock:
       return sparse::ell_work(*s.ell_bwd);
     case KernelKind::Buffered:
-      if (s.cbuf_bwd) return sparse::cbuffered_work(*s.cbuf_bwd);
       return sparse::buffered_work(*s.buf_bwd);
   }
   return {};

@@ -23,22 +23,17 @@ namespace memxct::core {
 namespace {
 
 /// Cache file name keyed by everything the cached payload depends on:
-/// geometry shape, angular span, ordering scheme, tile size — and, for
-/// reduced-precision operators, the value storage, because the compressed
-/// payload holds QUANTIZED values (".ccsr" extension) while the fp32 cache
-/// stores the exact traced matrix (".csr"). A config change keys a
-/// different file, so stale caches are simply never opened; a file that
-/// *was* tampered with to the right name still fails its checksum or the
-/// dimension cross-check below.
+/// geometry shape, angular span, ordering scheme and tile size. The cache
+/// holds the exact traced matrix at every value precision (reduced
+/// precision is quantized at operator build), so one file serves them all.
+/// A config change keys a different file, so stale caches are simply never
+/// opened; a file that *was* tampered with to the right name still fails
+/// its checksum or the dimension cross-check below.
 std::string cache_file_name(const geometry::Geometry& g, const Config& c) {
   std::ostringstream os;
   os << "memxct-a" << g.num_angles << "-c" << g.num_channels << "-i"
      << g.image_size << "-s" << g.angle_span << "-" << to_string(c.ordering)
-     << "-t" << c.tile_size;
-  if (c.precision == sparse::ValueStorage::Fp32)
-    os << ".csr";
-  else
-    os << "-v" << sparse::to_string(c.precision) << ".ccsr";
+     << "-t" << c.tile_size << ".csr";
   return os.str();
 }
 
@@ -46,23 +41,12 @@ std::string cache_file_name(const geometry::Geometry& g, const Config& c) {
 /// missing file, checksum mismatch, truncation, wrong dimensions — returns
 /// false and the caller rebuilds; corruption is reported on stderr but
 /// never crashes preprocessing (the cache is an optimization, not a
-/// dependency). Reduced-precision caches store the quantized compressed
-/// form; decompressing yields the quantized fp32 matrix, and re-compressing
-/// that during operator construction is bitwise idempotent, so cache hit
-/// and miss produce identical operators.
+/// dependency).
 bool try_load_cache(const std::string& path, const geometry::Geometry& g,
-                    const Config& c, sparse::CsrMatrix& a, bool* corrupt) {
+                    sparse::CsrMatrix& a, bool* corrupt) {
   if (!resil::file_exists(path)) return false;
   try {
-    if (c.precision == sparse::ValueStorage::Fp32) {
-      a = resil::load_csr_checked(path);
-    } else {
-      const sparse::CompressedCsr packed =
-          resil::load_compressed_csr_checked(path);
-      if (packed.storage != c.precision)
-        throw IoError(path + ": cached value storage does not match config");
-      a = sparse::decompress_csr(packed);
-    }
+    a = resil::load_csr_checked(path);
     if (static_cast<std::int64_t>(a.num_rows) != g.sinogram_extent().size() ||
         static_cast<std::int64_t>(a.num_cols) != g.tomogram_extent().size())
       throw IoError(path + ": cached matrix shape does not match geometry");
@@ -79,25 +63,15 @@ bool try_load_cache(const std::string& path, const geometry::Geometry& g,
   return false;
 }
 
-/// Writes the cache entry for `a` (compressed when precision != fp32).
-void save_cache(const std::string& path, const Config& c,
-                const sparse::CsrMatrix& a) {
-  if (c.precision == sparse::ValueStorage::Fp32)
-    resil::save_csr_checked(path, a);
-  else
-    resil::save_compressed_csr_checked(
-        path, sparse::compress_csr(a, sparse::kCsrPartsize, c.precision));
-}
-
 }  // namespace
 
 Reconstructor::Reconstructor(const geometry::Geometry& geometry,
                              const Config& config)
     : geometry_(geometry), config_(config) {
   geometry_.validate();
-  // One gate for every illegal field combination (shards+precision, kernel
-  // conflicts): the same call serve admission and the tuner's candidate
-  // pruning make.
+  // One gate for every illegal field combination (the shards+kernel and
+  // kernel+precision conflicts): the same call serve admission and the
+  // tuner's candidate pruning make.
   validate_config(config_);
   perf::WallTimer total;
   perf::WallTimer phase;
@@ -117,8 +91,8 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
   std::string cache_path;
   if (!config_.cache_dir.empty()) {
     cache_path = config_.cache_dir + "/" + cache_file_name(geometry_, config_);
-    report_.cache_hit = try_load_cache(cache_path, geometry_, config_, a,
-                                       &report_.cache_corrupt);
+    report_.cache_hit =
+        try_load_cache(cache_path, geometry_, a, &report_.cache_corrupt);
   }
   if (!report_.cache_hit) {
     a = geometry::build_projection_matrix(geometry_, *sino_order_,
@@ -127,7 +101,7 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
       try {
         std::error_code ec;  // a failed mkdir surfaces as the write error
         std::filesystem::create_directories(config_.cache_dir, ec);
-        save_cache(cache_path, config_, a);
+        resil::save_csr_checked(cache_path, a);
       } catch (const IoError& e) {
         std::fprintf(stderr, "memxct: cache write failed (%s); continuing\n",
                      e.what());
@@ -152,8 +126,8 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
 
   if (is_sharded(config_)) {
     // Sharded path: per-shard slices of A and A^T with precomputed exchange
-    // plans (shard/sharded_operator.hpp). The slices are fp32 copies of the
-    // traced matrix (validate_config already rejected reduced precision and
+    // plans (shard/sharded_operator.hpp), their buffered blocks quantized
+    // like the serial operator's (validate_config already rejected
     // non-Baseline/Buffered kernels here — no shard-local forms exist for
     // them). Reduce cuts both domains at pseudo-Hilbert tile boundaries
     // like the paper; Duplicate cuts at kernel partitions for bitwise
@@ -165,6 +139,7 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
                      ? shard::LocalKernel::Buffered
                      : shard::LocalKernel::BaselineCsr;
     opt.buffer = config_.buffer;
+    opt.precision = config_.precision;
     opt.group_size = config_.shard_group_size;
     opt.pipeline_tiles = config_.shard_pipeline_tiles;
     opt.machine = perf::machine(config_.machine);

@@ -8,9 +8,10 @@
 // by column range through indices precomputed at view-build time, costing
 // O(nnz_subset) rather than O(nnz) (sparse/subset.hpp).
 //
-// Supported for the Baseline (CSR) and Buffered fp32 kernel families — the
-// families the ordered-subsets solvers target. EllBlock, Library, and the
-// compressed-precision layouts throw InvalidArgument from subset_view().
+// Supported for the Baseline (CSR) and Buffered kernel families — the
+// families the ordered-subsets solvers target — the buffered one at any
+// value precision. EllBlock and Library throw InvalidArgument from
+// subset_view().
 #pragma once
 
 #include <memory>

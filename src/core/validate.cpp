@@ -12,26 +12,18 @@ void validate_config(const Config& config) {
   if (config.num_shards < 1)
     throw InvalidArgument("config: num_shards must be >= 1");
 
-  const bool sharded = is_sharded(config);
-  const bool reduced = config.precision != sparse::ValueStorage::Fp32;
   const bool shardable_kernel = config.kernel == KernelKind::Baseline ||
                                 config.kernel == KernelKind::Buffered;
-
-  if (sharded && reduced)
-    throw UnsupportedConfigError(
-        "--shards", "--precision",
-        "reduced-precision operators (bf16/fp16) are not supported on the "
-        "sharded path (--shards > 1 or --exchange reduce); use --precision "
-        "fp32, or --shards 1 with --exchange duplicate");
-  if (sharded && !shardable_kernel)
+  if (is_sharded(config) && !shardable_kernel)
     throw UnsupportedConfigError(
         "--shards", "--kernel",
         "the sharded path supports the baseline and buffered kernels only");
-  if (reduced && !shardable_kernel)
+  if (config.precision != sparse::ValueStorage::Fp32 &&
+      !supports_reduced_precision(config.kernel))
     throw UnsupportedConfigError(
         "--kernel", "--precision",
-        "compressed reduced-precision storage exists for the baseline and "
-        "buffered kernels only; use --precision fp32 or another kernel");
+        "reduced-precision (bf16/fp16) values exist for the buffered kernel "
+        "only; use --precision fp32 or --kernel buffered");
 }
 
 }  // namespace memxct::core

@@ -140,6 +140,9 @@ constexpr std::size_t kBufVersionAt = 5;
 void save_buffered(const std::string& path,
                    const sparse::BufferedMatrix& matrix) {
   matrix.validate();
+  if (matrix.storage != sparse::ValueStorage::Fp32)
+    throw InvalidArgument(path + ": the buffered file format stores fp32 "
+                                 "values only");
   const auto f = open_or_throw(path, "wb");
   write_array(f.get(), kBufMagic, sizeof(kBufMagic), path);
   const std::int64_t header[8] = {

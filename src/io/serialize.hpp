@@ -24,7 +24,8 @@ void save_csr(const std::string& path, const sparse::CsrMatrix& matrix);
 
 /// Writes a fully built multi-stage buffered matrix, so the complete
 /// preprocessing output (including Listing 3's staged structures, which
-/// cost another pass over the nonzeros to rebuild) can be cached.
+/// cost another pass over the nonzeros to rebuild) can be cached. Fp32
+/// value storage only; a quantized matrix throws InvalidArgument.
 void save_buffered(const std::string& path,
                    const sparse::BufferedMatrix& matrix);
 

@@ -24,23 +24,18 @@ struct RegularBytes {
 /// Work accounting for one projection/backprojection kernel invocation.
 ///
 /// Byte costs are split into value and index components and carried as
-/// doubles because the compressed layouts (sparse/compressed.hpp) have
-/// FRACTIONAL per-FMA index costs: a varint stream's average bytes/entry is
-/// measured from the built structure, not fixed by a type width. The
-/// padded fp32 layouts charge their streamed padding the same way: the
-/// buffered layout's 6 B/FMA scales by its stored-to-real entry ratio
-/// (sparse/buffered.hpp). Baseline CSR keeps 8 B/FMA via the defaults.
+/// doubles because the padded layouts have FRACTIONAL per-FMA costs: they
+/// stream their padding, so the buffered layout's 6 B/FMA (4 at bf16/fp16)
+/// and block-ELL's 8 scale by the stored-to-real entry ratio measured from
+/// the built structure. Baseline CSR keeps 8 B/FMA via the defaults.
 struct KernelWork {
   nnz_t nnz = 0;           ///< Nonzeros processed (FMAs).
   nnz_t staged_words = 0;  ///< Buffer-staging loads (map reads + x gathers).
   /// Bytes of stored matrix value streamed per FMA (4 fp32, 2 bf16/fp16).
   double value_bytes_per_fma = sizeof(real);
-  /// Bytes of matrix index streamed per FMA (4 CSR, 2 buffered, measured
-  /// average for varint streams).
+  /// Bytes of matrix index streamed per FMA (4 CSR, 2 buffered, times the
+  /// padded fraction).
   double index_bytes_per_fma = sizeof(idx_t);
-  /// Bytes of staging-map entry read per staged word (4 raw, measured
-  /// average for varint streams).
-  double staged_index_bytes = sizeof(idx_t);
 
   /// Total matrix-stream bytes per FMA (index + value), the Table 3 metric.
   [[nodiscard]] double bytes_per_fma() const noexcept {
@@ -55,8 +50,7 @@ struct KernelWork {
   /// staged word costs one map-entry read plus one 4 B gathered x value.
   [[nodiscard]] double regular_bytes() const noexcept {
     return static_cast<double>(nnz) * bytes_per_fma() +
-           static_cast<double>(staged_words) *
-               (staged_index_bytes + sizeof(real));
+           static_cast<double>(staged_words) * (sizeof(idx_t) + sizeof(real));
   }
 
   /// Amortized per-slice regular-stream bytes when k slices share one
@@ -68,7 +62,7 @@ struct KernelWork {
   [[nodiscard]] double regular_bytes_at_width(int k) const noexcept {
     const double width = k > 1 ? static_cast<double>(k) : 1.0;
     return (static_cast<double>(nnz) * bytes_per_fma() +
-            static_cast<double>(staged_words) * staged_index_bytes) /
+            static_cast<double>(staged_words) * sizeof(idx_t)) /
                width +
            static_cast<double>(staged_words) * sizeof(real);
   }

@@ -40,16 +40,13 @@ core::Config apply_rung(const core::Config& config, const DegradeRung& rung) {
     out.early_stop = true;
     out.early_stop_tol = rung.early_stop_tol;
   }
-  // Reduced precision only where the operator family supports it — the
-  // same gate Config::precision documents. The sharded family is fp32-only,
-  // so a degraded sharded request must not be rewritten into the
-  // UnsupportedConfigError the admission path rejects. An unsupported
-  // family silently keeps the submitted precision; the rung's other knobs
+  // Reduced precision only where the kernel supports it — the predicate
+  // validate_config asks — so a degraded request is never rewritten into
+  // the UnsupportedConfigError the admission path rejects. An unsupported
+  // kernel silently keeps the submitted precision; the rung's other knobs
   // still apply.
   if (rung.precision != sparse::ValueStorage::Fp32 &&
-      (config.kernel == core::KernelKind::Baseline ||
-       config.kernel == core::KernelKind::Buffered) &&
-      !core::is_sharded(config))
+      core::supports_reduced_precision(config.kernel))
     out.precision = rung.precision;
   return out;
 }

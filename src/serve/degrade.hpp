@@ -33,8 +33,9 @@ inline constexpr int kMaxRungs = 8;
 struct DegradeRung {
   std::string name;  ///< Human-readable tag ("fast", "preview", ...).
   /// Operator value storage for this rung. Applied only when the submitted
-  /// config's kernel family supports it (Baseline/Buffered — same rule as
-  /// Config::precision); otherwise the rung keeps the submitted precision.
+  /// config's kernel supports it (core::supports_reduced_precision, the
+  /// rule validate_config applies), sharded or not; otherwise the rung
+  /// keeps the submitted precision.
   /// Changing precision selects a DIFFERENT registry operator (the opkey
   /// carries it), so a preview rung can hit a warm reduced-precision entry.
   sparse::ValueStorage precision = sparse::ValueStorage::Fp32;

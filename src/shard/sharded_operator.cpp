@@ -145,6 +145,7 @@ ShardedOperator::Side ShardedOperator::build_side(
       }
       if (opt.kernel == LocalKernel::Buffered && block.rows > 0) {
         block.buffered = sparse::build_buffered(local, opt.buffer);
+        sparse::quantize_values(block.buffered, opt.precision);
         // The buffered structure is self-contained; the CSR slice it was
         // staged from is dead weight — drop it so each shard's residency is
         // the buffered footprint alone (the apply never reads it).
@@ -171,6 +172,10 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
   }
   MEMXCT_CHECK_MSG(opt.num_shards >= 1,
                    "sharded operator: num_shards must be >= 1");
+  if (opt.precision != sparse::ValueStorage::Fp32 &&
+      opt.kernel != LocalKernel::Buffered)
+    throw InvalidArgument(
+        "sharded operator: reduced precision needs the buffered local kernel");
   if (opt.group_size < 1) opt.group_size = 1;
   const idx_t ps = opt.kernel == LocalKernel::Buffered ? opt.buffer.partsize
                                                        : sparse::kCsrPartsize;
@@ -263,6 +268,7 @@ void ShardedOperator::build_reduce(const sparse::CsrMatrix& a, Storage& st) {
                  st.bwd.footprint[static_cast<std::size_t>(p)].size());
     if (st.opt.kernel == LocalKernel::Buffered && block.rows > 0) {
       block.buffered = sparse::build_buffered(block.local, st.opt.buffer);
+      sparse::quantize_values(block.buffered, st.opt.precision);
       block.local = sparse::CsrMatrix{};
     }
   }

@@ -99,6 +99,9 @@ class ShardedOperator final : public solve::LinearOperator {
     int num_shards = 2;
     LocalKernel kernel = LocalKernel::Buffered;
     sparse::BufferConfig buffer;
+    /// Value storage of the buffered local blocks (core::Config::precision);
+    /// reduced precision needs LocalKernel::Buffered.
+    sparse::ValueStorage precision = sparse::ValueStorage::Fp32;
     /// > 1 enables the hierarchical two-level exchange with groups of this
     /// many consecutive shards (first member is the group proxy).
     int group_size = 1;

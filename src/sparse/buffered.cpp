@@ -19,7 +19,8 @@ std::int64_t BufferedMatrix::bytes() const noexcept {
       partdispl.size() * sizeof(idx_t) + stagedispl.size() * sizeof(nnz_t) +
       stagenz.size() * sizeof(idx_t) + map.size() * sizeof(idx_t) +
       groupdispl.size() * sizeof(nnz_t) + rowlen.size() * sizeof(idx_t) +
-      ind.size() * sizeof(buf_idx_t) + val.size() * sizeof(real));
+      ind.size() * sizeof(buf_idx_t) + val.size() * sizeof(real) +
+      val16.size() * sizeof(std::uint16_t));
 }
 
 void BufferedMatrix::validate() const {
@@ -45,7 +46,9 @@ void BufferedMatrix::validate() const {
                stages * static_cast<std::size_t>(groups) + 1);
   MEMXCT_CHECK(groupdispl.front() == 0 &&
                groupdispl.back() == static_cast<nnz_t>(ind.size()));
-  MEMXCT_CHECK(ind.size() == val.size());
+  const bool fp32 = storage == ValueStorage::Fp32;
+  MEMXCT_CHECK((fp32 ? val.size() : val16.size()) == ind.size() &&
+               (fp32 ? val16.size() : val.size()) == 0);
   // Every group is exactly as wide as its longest row in that stage.
   for (std::size_t s = 0; s < stages; ++s)
     for (idx_t g = 0; g < groups; ++g) {
@@ -281,6 +284,19 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   return b;
 }
 
+void quantize_values(BufferedMatrix& m, ValueStorage storage) {
+  MEMXCT_CHECK(m.storage == ValueStorage::Fp32);
+  if (storage == ValueStorage::Fp32) return;
+  const auto n = static_cast<std::ptrdiff_t>(m.val.size());
+  m.val16.resize(m.val.size());
+#pragma omp parallel for schedule(static)
+  for (std::ptrdiff_t i = 0; i < n; ++i)
+    m.val16[static_cast<std::size_t>(i)] =
+        encode_value(m.val[static_cast<std::size_t>(i)], storage);
+  m.val = AlignedVector<real>{};
+  m.storage = storage;
+}
+
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
@@ -293,14 +309,13 @@ perf::KernelWork buffered_work(const BufferedMatrix& a) {
   w.nnz = a.nnz();
   w.staged_words = a.total_staged();
   // Padding is streamed like real entries: its index and value bytes are
-  // charged to the real FMAs, as the compressed layouts charge their
-  // measured stream widths.
+  // charged to the real FMAs.
   const double padding =
       w.nnz > 0 ? static_cast<double>(a.padded_nnz()) /
                       static_cast<double>(w.nnz)
                 : 1.0;
   w.index_bytes_per_fma = sizeof(buf_idx_t) * padding;
-  w.value_bytes_per_fma = sizeof(real) * padding;
+  w.value_bytes_per_fma = bytes_per_value(a.storage) * padding;
   return w;
 }
 

@@ -20,6 +20,12 @@
 // entries are real. Pad entries hold slot 0 and value 0, and the kernels
 // mask them out, so each row adds exactly its own entries in column order.
 //
+// Values are stored as fp32 or, after quantize_values, as bf16/fp16 bits in
+// the same sliced layout (sparse/precision.hpp). The kernels decode each
+// stored value to fp32 and run the same arithmetic, so reduced precision
+// changes only the value every product uses, and it moves 2 B per entry
+// instead of 4: 4 B/FMA before padding against 6.
+//
 // Pseudo-Hilbert ordering is the enabler: it makes each partition's
 // footprint a compact 2D region, so the distinct-column count per partition
 // (and hence the number of stages) stays small.
@@ -31,6 +37,7 @@
 #include "common/grid.hpp"
 #include "perf/counters.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/precision.hpp"
 
 namespace memxct::sparse {
 
@@ -70,7 +77,9 @@ struct BufferedMatrix {
   AlignedVector<idx_t> rowlen;     ///< Per (stage, row-in-partition) entry
                                    ///< count: rowlen[stage*partsize + j].
   AlignedVector<buf_idx_t> ind;    ///< 16-bit buffer-local indices (padded).
-  AlignedVector<real> val;         ///< Values, sliced layout (padded).
+  AlignedVector<real> val;         ///< Fp32 values, sliced layout (padded).
+  AlignedVector<std::uint16_t> val16;  ///< Bf16/Fp16 bits, same layout.
+  ValueStorage storage = ValueStorage::Fp32;  ///< Which value array is used.
 
   [[nodiscard]] idx_t num_partitions() const noexcept {
     return static_cast<idx_t>(partdispl.size()) - 1;
@@ -136,12 +145,19 @@ struct BufferedMatrix {
 [[nodiscard]] BufferedMatrix build_buffered(const CsrMatrix& a,
                                             const BufferConfig& config = {});
 
+/// Re-stores an fp32 matrix's values as `storage`: one round-to-nearest-even
+/// pass from val into val16, which then replaces val. Every kernel
+/// multiplies by the decoded 16-bit value and is otherwise unchanged. No-op
+/// for Fp32; requires m.storage == Fp32.
+void quantize_values(BufferedMatrix& m, ValueStorage storage);
+
 /// y = A·x with the multi-stage buffered kernel (Listing 3).
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y);
 
 /// Work accounting: nnz FMAs; index and value bytes per FMA scaled by the
-/// padded fraction (6 B/FMA unpadded), plus staging traffic.
+/// padded fraction (6 B/FMA unpadded at fp32, 4 at bf16/fp16), plus
+/// staging traffic.
 [[nodiscard]] perf::KernelWork buffered_work(const BufferedMatrix& a);
 
 }  // namespace memxct::sparse

@@ -6,7 +6,8 @@
 // the L1 buffer, then computed one row group at a time: SIMD across the
 // group's kSliceRows rows at K = 1 (group_k1), and kSliceRows independent
 // row accumulators at K > 1, lanes in compile-time-width passes of up to
-// kLaneChunk (group_block).
+// kLaneChunk (group_block). The value decoder (fp32, bf16 or fp16) is a
+// template parameter of the body, picked once per apply by with_decoder.
 //
 // Bitwise rule: a pad lane (e >= rowlen) and, in a clipped stage, a lane
 // outside the row's in-window run are masked, never multiplied by zero. So
@@ -27,6 +28,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #if defined(__AVX512F__)
@@ -36,11 +38,82 @@
 #include "common/error.hpp"
 #include "sparse/buffered.hpp"
 #include "sparse/plan.hpp"
+#include "sparse/precision.hpp"
 #include "sparse/spmm.hpp"
 
 namespace memxct::sparse::detail {
 
 static_assert(kSliceRows == 16, "group_k1 maps one group onto one zmm");
+
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+#define MEMXCT_BUFFERED_AVX512 1
+#endif
+
+// Value decoders, one per ValueStorage. `values` picks the stored array,
+// `scalar` decodes one value and `load` (AVX-512 only) the masked lanes of
+// one row group. Every decode is exact: fp32 is a plain load, bf16 is the
+// top half of an fp32 (widen, shift left 16), and fp16 converts in
+// hardware (vcvtph2ps), so each product uses exactly the value the scalar
+// decoders of sparse/precision.hpp return.
+struct DecodeFp32 {
+  using Stored = real;
+  static const Stored* values(const BufferedMatrix& a) noexcept {
+    return a.val.data();
+  }
+  static real scalar(Stored v) noexcept { return v; }
+#if MEMXCT_BUFFERED_AVX512
+  static __m512 load(__mmask16 live, const Stored* p) noexcept {
+    return _mm512_maskz_loadu_ps(live, p);
+  }
+#endif
+};
+
+struct DecodeBf16 {
+  using Stored = std::uint16_t;
+  static const Stored* values(const BufferedMatrix& a) noexcept {
+    return a.val16.data();
+  }
+  static real scalar(Stored v) noexcept { return bf16_to_fp32(v); }
+#if MEMXCT_BUFFERED_AVX512
+  static __m512 load(__mmask16 live, const Stored* p) noexcept {
+    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        live,
+        _mm512_maskz_cvtepu16_epi32(live, _mm256_maskz_loadu_epi16(live, p)),
+        16));
+  }
+#endif
+};
+
+struct DecodeFp16 {
+  using Stored = std::uint16_t;
+  static const Stored* values(const BufferedMatrix& a) noexcept {
+    return a.val16.data();
+  }
+  static real scalar(Stored v) noexcept { return fp16_to_fp32(v); }
+#if MEMXCT_BUFFERED_AVX512
+  static __m512 load(__mmask16 live, const Stored* p) noexcept {
+    return _mm512_maskz_cvtph_ps(live, _mm256_maskz_loadu_epi16(live, p));
+  }
+#endif
+};
+
+/// Calls fn(Decode{}) with the decoder of a's value storage: the one runtime
+/// dispatch of an apply. The callee passes decltype of its argument on as
+/// partition_apply's template parameter.
+template <class Fn>
+void with_decoder(const BufferedMatrix& a, const Fn& fn) {
+  switch (a.storage) {
+    case ValueStorage::Fp32:
+      fn(DecodeFp32{});
+      return;
+    case ValueStorage::Bf16:
+      fn(DecodeBf16{});
+      return;
+    case ValueStorage::Fp16:
+      fn(DecodeFp16{});
+      return;
+  }
+}
 
 /// Buffer slots [lo, hi) of one stage that an apply gathers and reads.
 struct SlotWindow {
@@ -68,11 +141,11 @@ struct FullWindow {
 /// K = 1 group body: out[r] += the sum of entries [lo[r], hi[r]) of row r,
 /// e in [e0, e1), for each of the group's `rows` rows. Entry e of row r is
 /// ind/val[e*rows + r]. Without kClip every lo[r] is 0 and `lo` is unread.
-template <bool kClip>
-inline void group_k1(const buf_idx_t* ind, const real* val, idx_t rows,
-                     idx_t e0, idx_t e1, const idx_t* lo, const idx_t* hi,
-                     const real* input, real* out) {
-#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+template <class Decode, bool kClip>
+inline void group_k1(const buf_idx_t* ind, const typename Decode::Stored* val,
+                     idx_t rows, idx_t e0, idx_t e1, const idx_t* lo,
+                     const idx_t* hi, const real* input, real* out) {
+#if MEMXCT_BUFFERED_AVX512
   // One zmm per group; lanes past `rows` load hi = 0 and never go live.
   const auto rows_mask = static_cast<__mmask16>((1u << rows) - 1u);
   const __m512i hiv = _mm512_maskz_loadu_epi32(rows_mask, hi);
@@ -88,7 +161,7 @@ inline void group_k1(const buf_idx_t* ind, const real* val, idx_t rows,
         live, _mm256_maskz_loadu_epi16(live, ind + at));
     const __m512 x =
         _mm512_mask_i32gather_ps(_mm512_setzero_ps(), live, slot, input, 4);
-    const __m512 p = _mm512_mul_ps(x, _mm512_maskz_loadu_ps(live, val + at));
+    const __m512 p = _mm512_mul_ps(x, Decode::load(live, val + at));
     acc = _mm512_mask_add_ps(acc, live, acc, p);
   }
   _mm512_mask_storeu_ps(
@@ -98,10 +171,12 @@ inline void group_k1(const buf_idx_t* ind, const real* val, idx_t rows,
   real acc[kSliceRows] = {};
   for (idx_t e = e0; e < e1; ++e) {
     const buf_idx_t* const ie = ind + static_cast<std::size_t>(e) * rows;
-    const real* const ve = val + static_cast<std::size_t>(e) * rows;
+    const typename Decode::Stored* const ve =
+        val + static_cast<std::size_t>(e) * rows;
 #pragma omp simd
     for (idx_t r = 0; r < rows; ++r)
-      if (e < hi[r] && (!kClip || e >= lo[r])) acc[r] += input[ie[r]] * ve[r];
+      if (e < hi[r] && (!kClip || e >= lo[r]))
+        acc[r] += input[ie[r]] * Decode::scalar(ve[r]);
   }
   for (idx_t r = 0; r < rows; ++r) out[r] += acc[r];
 #endif
@@ -113,17 +188,17 @@ inline void group_k1(const buf_idx_t* ind, const real* val, idx_t rows,
 /// kLanes is fixed at compile time so the lane update is a fixed-width
 /// vector op: a runtime-width lane loop was 2-3x slower at K = 2, 4 and 16,
 /// and at K = 2 and 4 slower than the row-order kernel this layout replaced.
-template <bool kClip, idx_t kLanes>
-void group_lanes(const buf_idx_t* ind, const real* val, idx_t rows, idx_t e0,
-                 idx_t e1, const idx_t* lo, const idx_t* hi, idx_t k,
-                 const real* input, real* out) {
+template <class Decode, bool kClip, idx_t kLanes>
+void group_lanes(const buf_idx_t* ind, const typename Decode::Stored* val,
+                 idx_t rows, idx_t e0, idx_t e1, const idx_t* lo,
+                 const idx_t* hi, idx_t k, const real* input, real* out) {
   const auto kk = static_cast<std::size_t>(k);
   real acc[kSliceRows * kLanes] = {};
   for (idx_t e = e0; e < e1; ++e)
     for (idx_t r = 0; r < rows; ++r) {
       if (e >= hi[r] || (kClip && e < lo[r])) continue;
       const std::size_t i = static_cast<std::size_t>(e) * rows + r;
-      const real v = val[i];
+      const real v = Decode::scalar(val[i]);
       const real* const xr = input + static_cast<std::size_t>(ind[i]) * kk;
       real* const ar = acc + static_cast<std::size_t>(r) * kLanes;
 #pragma omp simd
@@ -140,26 +215,28 @@ void group_lanes(const buf_idx_t* ind, const real* val, idx_t rows, idx_t e0,
 /// Lanes one group_lanes pass covers at most (a zmm of fp32).
 inline constexpr idx_t kLaneChunk = 16;
 
-using GroupLanesFn = void (*)(const buf_idx_t*, const real*, idx_t, idx_t,
-                              idx_t, const idx_t*, const idx_t*, idx_t,
-                              const real*, real*);
+template <class Decode>
+using GroupLanesFn = void (*)(const buf_idx_t*, const typename Decode::Stored*,
+                              idx_t, idx_t, idx_t, const idx_t*, const idx_t*,
+                              idx_t, const real*, real*);
 
-template <bool kClip, idx_t... W>
-constexpr std::array<GroupLanesFn, sizeof...(W)> lane_bodies(
+template <class Decode, bool kClip, idx_t... W>
+constexpr std::array<GroupLanesFn<Decode>, sizeof...(W)> lane_bodies(
     std::integer_sequence<idx_t, W...>) {
-  return {&group_lanes<kClip, W + 1>...};
+  return {&group_lanes<Decode, kClip, W + 1>...};
 }
 
 /// K > 1 group body: lanes in passes of up to kLaneChunk, each pass through
 /// group_lanes instantiated at exactly its width, so every k in
 /// [2, kMaxBlockWidth] runs fixed-width lane updates. A pass re-reads the
 /// group's entries, which the previous pass left in L1.
-template <bool kClip>
-inline void group_block(const buf_idx_t* ind, const real* val, idx_t rows,
+template <class Decode, bool kClip>
+inline void group_block(const buf_idx_t* ind,
+                        const typename Decode::Stored* val, idx_t rows,
                         idx_t e0, idx_t e1, const idx_t* lo, const idx_t* hi,
                         idx_t k, const real* input, real* out) {
-  static constexpr auto kBodies =
-      lane_bodies<kClip>(std::make_integer_sequence<idx_t, kLaneChunk>{});
+  static constexpr auto kBodies = lane_bodies<Decode, kClip>(
+      std::make_integer_sequence<idx_t, kLaneChunk>{});
   for (idx_t c = 0; c < k; c += kLaneChunk)
     kBodies[static_cast<std::size_t>(std::min(kLaneChunk, k - c) - 1)](
         ind, val, rows, e0, e1, lo, hi, k, input + c, out + c);
@@ -169,7 +246,8 @@ inline void group_block(const buf_idx_t* ind, const real* val, idx_t rows,
 /// into `output` (partsize·k, interleaved), then copies its first
 /// `rows_out` rows to `y`. Staged word i of a stage is lane s of
 /// x[(map[i] − window.first())·k + s]; `input` holds buffsize·k words.
-template <class Window>
+/// Decode must match a.storage (with_decoder picks it).
+template <class Decode, class Window>
 void partition_apply(const BufferedMatrix& a, idx_t part, const Window& window,
                      idx_t k, const real* x, real* input, real* output,
                      real* y, idx_t rows_out) {
@@ -207,7 +285,7 @@ void partition_apply(const BufferedMatrix& a, idx_t part, const Window& window,
                         static_cast<std::size_t>(g);
       const nnz_t base = a.groupdispl[cell];
       const buf_idx_t* const gi = a.ind.data() + base;
-      const real* const gv = a.val.data() + base;
+      const typename Decode::Stored* const gv = Decode::values(a) + base;
       real* const out = output + static_cast<std::size_t>(j0) * kk;
       const idx_t* const len =
           a.rowlen.data() + static_cast<std::size_t>(stage) * partsize + j0;
@@ -215,10 +293,11 @@ void partition_apply(const BufferedMatrix& a, idx_t part, const Window& window,
         const auto width =
             static_cast<idx_t>((a.groupdispl[cell + 1] - base) / rows);
         if (k == 1)
-          group_k1<false>(gi, gv, rows, 0, width, nullptr, len, input, out);
+          group_k1<Decode, false>(gi, gv, rows, 0, width, nullptr, len, input,
+                                  out);
         else
-          group_block<false>(gi, gv, rows, 0, width, nullptr, len, k, input,
-                             out);
+          group_block<Decode, false>(gi, gv, rows, 0, width, nullptr, len, k,
+                                     input, out);
         continue;
       }
       alignas(64) idx_t lo[kSliceRows];
@@ -235,9 +314,10 @@ void partition_apply(const BufferedMatrix& a, idx_t part, const Window& window,
         }
       }
       if (k == 1)
-        group_k1<true>(gi, gv, rows, e0, e1, lo, hi, input, out);
+        group_k1<Decode, true>(gi, gv, rows, e0, e1, lo, hi, input, out);
       else
-        group_block<true>(gi, gv, rows, e0, e1, lo, hi, k, input, out);
+        group_block<Decode, true>(gi, gv, rows, e0, e1, lo, hi, k, input,
+                                  out);
     }
   }
   std::copy_n(output, static_cast<std::size_t>(rows_out) * kk, y);
@@ -283,15 +363,19 @@ inline void apply_dynamic(const BufferedMatrix& a, idx_t k, const real* x,
   const FullWindow window{a};
   const auto kk = static_cast<std::size_t>(k);
   const idx_t partsize = a.config.partsize;
-  run_dynamic(0, a.num_partitions(),
-              static_cast<std::size_t>(a.config.buffsize) * kk,
-              static_cast<std::size_t>(partsize) * kk,
-              [&](idx_t part, real* input, real* output) {
-                const idx_t r0 = part * partsize;
-                partition_apply(a, part, window, k, x, input, output,
-                                y + static_cast<std::size_t>(r0) * kk,
-                                std::min(partsize, a.num_rows - r0));
-              });
+  with_decoder(a, [&](auto decode) {
+    using Decode = decltype(decode);
+    run_dynamic(0, a.num_partitions(),
+                static_cast<std::size_t>(a.config.buffsize) * kk,
+                static_cast<std::size_t>(partsize) * kk,
+                [&](idx_t part, real* input, real* output) {
+                  const idx_t r0 = part * partsize;
+                  partition_apply<Decode>(
+                      a, part, window, k, x, input, output,
+                      y + static_cast<std::size_t>(r0) * kk,
+                      std::min(partsize, a.num_rows - r0));
+                });
+  });
 }
 
 /// y = A·x over k interleaved slices, every partition, static plan.
@@ -301,14 +385,18 @@ inline void apply_planned(const BufferedMatrix& a, const ApplyPlan& plan,
   const FullWindow window{a};
   const auto kk = static_cast<std::size_t>(k);
   const idx_t partsize = a.config.partsize;
-  run_planned(plan, ws, static_cast<std::size_t>(a.config.buffsize) * kk,
-              static_cast<std::size_t>(partsize) * kk,
-              [&](idx_t part, real* input, real* output) {
-                const idx_t r0 = part * partsize;
-                partition_apply(a, part, window, k, x, input, output,
-                                y + static_cast<std::size_t>(r0) * kk,
-                                std::min(partsize, a.num_rows - r0));
-              });
+  with_decoder(a, [&](auto decode) {
+    using Decode = decltype(decode);
+    run_planned(plan, ws, static_cast<std::size_t>(a.config.buffsize) * kk,
+                static_cast<std::size_t>(partsize) * kk,
+                [&](idx_t part, real* input, real* output) {
+                  const idx_t r0 = part * partsize;
+                  partition_apply<Decode>(
+                      a, part, window, k, x, input, output,
+                      y + static_cast<std::size_t>(r0) * kk,
+                      std::min(partsize, a.num_rows - r0));
+                });
+  });
 }
 
 }  // namespace memxct::sparse::detail

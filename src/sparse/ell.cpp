@@ -15,6 +15,7 @@ EllBlockMatrix build(const CsrMatrix& a, idx_t block_rows, bool matrix_level) {
   e.num_rows = a.num_rows;
   e.num_cols = a.num_cols;
   e.block_rows = block_rows;
+  e.real_nnz = a.nnz();
   const idx_t num_blocks = std::max<idx_t>(1, ceil_div(a.num_rows, block_rows));
   e.block_width.resize(static_cast<std::size_t>(num_blocks));
   e.block_displ.resize(static_cast<std::size_t>(num_blocks) + 1);
@@ -103,7 +104,12 @@ void spmv_ell(const EllBlockMatrix& a, std::span<const real> x,
 
 perf::KernelWork ell_work(const EllBlockMatrix& a) {
   perf::KernelWork w;
-  w.nnz = a.padded_nnz();  // 4 B index + 4 B value defaults, like baseline
+  w.nnz = a.real_nnz;
+  const double padding = w.nnz > 0 ? static_cast<double>(a.padded_nnz()) /
+                                         static_cast<double>(w.nnz)
+                                   : 1.0;
+  w.index_bytes_per_fma = sizeof(idx_t) * padding;
+  w.value_bytes_per_fma = sizeof(real) * padding;
   return w;
 }
 

@@ -23,6 +23,7 @@ struct EllBlockMatrix {
   idx_t num_rows = 0;
   idx_t num_cols = 0;
   idx_t block_rows = 0;  ///< Partition size (threads per block on GPU).
+  nnz_t real_nnz = 0;    ///< Nonzeros of the source matrix (the FMAs).
   std::vector<nnz_t> block_displ;  ///< Per block: start into ind/val.
   std::vector<idx_t> block_width;  ///< Per block: padded row length.
   AlignedVector<idx_t> ind;        ///< Padded column indices (0 for pad).
@@ -51,7 +52,9 @@ struct EllBlockMatrix {
 void spmv_ell(const EllBlockMatrix& a, std::span<const real> x,
               std::span<real> y);
 
-/// Work accounting (counts padded FMAs — ELL pays for its padding).
+/// Work accounting: real_nnz FMAs; index and value bytes per FMA scaled by
+/// the padded fraction (8 B/FMA unpadded), so ELL pays for its padding in
+/// bytes, like the buffered layout (buffered_work).
 [[nodiscard]] perf::KernelWork ell_work(const EllBlockMatrix& a);
 
 }  // namespace memxct::sparse

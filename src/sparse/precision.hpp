@@ -3,7 +3,7 @@
 // MemXCT's apply is bandwidth-bound; after 16-bit buffered indices the
 // remaining regular stream is dominated by 4 B fp32 values (Section 3.3.5's
 // 6 B/FMA = 2 B index + 4 B value). Storing values in 16-bit floating
-// formats halves that term. Two formats are supported:
+// formats halves that term, to 4 B/FMA. Two formats are supported:
 //
 //   * bf16 — fp32's exponent range with an 8-bit mantissa. Conversion is a
 //     pure truncation of the low mantissa bits (round-to-nearest-even
@@ -12,14 +12,13 @@
 //     Finer relative error (~2^-12) but narrow range; intersection lengths
 //     in a projection matrix are O(1) and fit comfortably.
 //
-// Accumulation is ALWAYS fp32: kernels decode each stored value to fp32
-// and run the exact inner-loop expression shape of the fp32 kernels, so the
+// Accumulation is ALWAYS fp32: the buffered kernels decode each stored
+// value to fp32 and run the exact arithmetic of the fp32 layout, so the
 // only deviation from the fp32 result is the one-time value quantization
 // (validated against fp64 references by the precision property tests).
 //
 // Both conversions round to nearest-even, preserve NaN (quietly) and ±Inf,
-// and are idempotent: converting an already-representable value is exact,
-// which is what makes the compressed disk cache round-trip bitwise.
+// and are idempotent: converting an already-representable value is exact.
 #pragma once
 
 #include <bit>
@@ -30,10 +29,9 @@
 
 namespace memxct::sparse {
 
-/// Value-storage precision of a memoized operator. Fp32 selects the
-/// uncompressed kernels (the historical layout, bitwise unchanged); Bf16
-/// and Fp16 select the compressed kernel variants (16-bit values plus
-/// delta/varint indices, sparse/compressed.hpp).
+/// Value-storage precision of a memoized operator. Fp32 keeps the values
+/// as fp32; Bf16 and Fp16 store 16-bit values in the same buffered layout
+/// (BufferedMatrix::val16, sparse/buffered.hpp).
 enum class ValueStorage { Fp32, Bf16, Fp16 };
 
 [[nodiscard]] const char* to_string(ValueStorage storage) noexcept;
@@ -118,7 +116,7 @@ enum class ValueStorage { Fp32, Bf16, Fp16 };
 }
 
 /// Quantizes `f` through the given storage and back to fp32 — the value the
-/// compressed kernels actually multiply with. Identity for Fp32.
+/// reduced-precision kernels actually multiply with. Identity for Fp32.
 [[nodiscard]] inline real quantize(real f, ValueStorage storage) noexcept {
   switch (storage) {
     case ValueStorage::Fp32:

@@ -116,11 +116,12 @@ namespace {
 
 /// Runs partition `part` (global index) of a row-range apply, storing its
 /// in-range rows into y_sub.
+template <class Decode>
 inline void buffered_range_partition(const BufferedMatrix& a, idx_t part,
                                      const RowRange& range, const real* xp,
                                      real* input, real* output, real* yp) {
   const idx_t rstart = part * a.config.partsize;
-  detail::partition_apply(
+  detail::partition_apply<Decode>(
       a, part, detail::FullWindow{a}, 1, xp, input, output,
       yp + (rstart - range.first),
       std::min<idx_t>(a.config.partsize, range.last() - rstart));
@@ -136,12 +137,16 @@ void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
   const idx_t partsize = a.config.partsize;
   const idx_t p0 = range.first / partsize;
   const idx_t p1 = p0 + ceil_div(range.count, partsize);
-  detail::run_dynamic(p0, p1, static_cast<std::size_t>(a.config.buffsize),
-                      static_cast<std::size_t>(partsize),
-                      [&](idx_t part, real* input, real* output) {
-                        buffered_range_partition(a, part, range, x.data(),
-                                                 input, output, y_sub.data());
-                      });
+  detail::with_decoder(a, [&](auto decode) {
+    using Decode = decltype(decode);
+    detail::run_dynamic(p0, p1, static_cast<std::size_t>(a.config.buffsize),
+                        static_cast<std::size_t>(partsize),
+                        [&](idx_t part, real* input, real* output) {
+                          buffered_range_partition<Decode>(
+                              a, part, range, x.data(), input, output,
+                              y_sub.data());
+                        });
+  });
 }
 
 void spmv_buffered_range_planned(const BufferedMatrix& a,
@@ -154,12 +159,16 @@ void spmv_buffered_range_planned(const BufferedMatrix& a,
   const idx_t partsize = a.config.partsize;
   MEMXCT_CHECK(plan.num_partitions() == ceil_div(range.count, partsize));
   const idx_t p0 = range.first / partsize;
-  detail::run_planned(plan, ws, static_cast<std::size_t>(a.config.buffsize),
-                      static_cast<std::size_t>(partsize),
-                      [&](idx_t part, real* input, real* output) {
-                        buffered_range_partition(a, p0 + part, range, x.data(),
-                                                 input, output, y_sub.data());
-                      });
+  detail::with_decoder(a, [&](auto decode) {
+    using Decode = decltype(decode);
+    detail::run_planned(plan, ws, static_cast<std::size_t>(a.config.buffsize),
+                        static_cast<std::size_t>(partsize),
+                        [&](idx_t part, real* input, real* output) {
+                          buffered_range_partition<Decode>(
+                              a, p0 + part, range, x.data(), input, output,
+                              y_sub.data());
+                        });
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -368,15 +377,16 @@ namespace {
 
 /// Runs the in-range stage window of partition `part` and stores the
 /// partition's rows (zero when the window is empty).
+template <class Decode>
 inline void buffered_colrange_partition(const BufferedMatrix& at,
                                         const BufferedColRange& ix,
                                         idx_t part, const real* yp,
                                         real* input, real* output, real* xp) {
   const idx_t rstart = part * at.config.partsize;
-  detail::partition_apply(at, part, ColRangeWindow{at, ix}, 1, yp, input,
-                          output, xp + rstart,
-                          std::min<idx_t>(at.config.partsize,
-                                          at.num_rows - rstart));
+  detail::partition_apply<Decode>(at, part, ColRangeWindow{at, ix}, 1, yp,
+                                  input, output, xp + rstart,
+                                  std::min<idx_t>(at.config.partsize,
+                                                  at.num_rows - rstart));
 }
 
 }  // namespace
@@ -388,14 +398,17 @@ void spmv_buffered_colrange(const BufferedMatrix& at,
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
   MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
                at.num_partitions());
-  detail::run_dynamic(0, at.num_partitions(),
-                      static_cast<std::size_t>(at.config.buffsize),
-                      static_cast<std::size_t>(at.config.partsize),
-                      [&](idx_t part, real* input, real* output) {
-                        buffered_colrange_partition(at, index, part,
-                                                    y_sub.data(), input,
-                                                    output, x.data());
-                      });
+  detail::with_decoder(at, [&](auto decode) {
+    using Decode = decltype(decode);
+    detail::run_dynamic(0, at.num_partitions(),
+                        static_cast<std::size_t>(at.config.buffsize),
+                        static_cast<std::size_t>(at.config.partsize),
+                        [&](idx_t part, real* input, real* output) {
+                          buffered_colrange_partition<Decode>(
+                              at, index, part, y_sub.data(), input, output,
+                              x.data());
+                        });
+  });
 }
 
 void spmv_buffered_colrange_planned(const BufferedMatrix& at,
@@ -408,13 +421,16 @@ void spmv_buffered_colrange_planned(const BufferedMatrix& at,
   MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
                at.num_partitions());
   MEMXCT_CHECK(plan.num_partitions() == at.num_partitions());
-  detail::run_planned(plan, ws, static_cast<std::size_t>(at.config.buffsize),
-                      static_cast<std::size_t>(at.config.partsize),
-                      [&](idx_t part, real* input, real* output) {
-                        buffered_colrange_partition(at, index, part,
-                                                    y_sub.data(), input,
-                                                    output, x.data());
-                      });
+  detail::with_decoder(at, [&](auto decode) {
+    using Decode = decltype(decode);
+    detail::run_planned(plan, ws, static_cast<std::size_t>(at.config.buffsize),
+                        static_cast<std::size_t>(at.config.partsize),
+                        [&](idx_t part, real* input, real* output) {
+                          buffered_colrange_partition<Decode>(
+                              at, index, part, y_sub.data(), input, output,
+                              x.data());
+                        });
+  });
 }
 
 }  // namespace memxct::sparse

@@ -87,8 +87,33 @@ TEST(Ell, WorkCountsPadding) {
   const CsrMatrix a = testutil::random_csr(32, 32, 0.1, 37);
   const EllBlockMatrix e = to_ell_block(a, 8);
   const auto work = ell_work(e);
-  EXPECT_EQ(work.nnz, e.padded_nnz());
+  EXPECT_EQ(work.nnz, a.nnz());
   EXPECT_GE(e.padded_nnz(), a.nnz());
+  EXPECT_GE(work.bytes_per_fma(), 8.0);
+}
+
+TEST(Ell, WorkChargesPaddingToBytesOverRealNonzeros) {
+  // Rows of 1..5 entries in blocks of 4 rows (the last block ragged): the
+  // padding is streamed, so it is charged to bytes per FMA, never to FMAs.
+  CsrMatrix a;
+  a.num_rows = 10;
+  a.num_cols = 8;
+  a.displ = {0};
+  for (idx_t r = 0; r < a.num_rows; ++r) {
+    for (idx_t c = 0; c <= r % 5; ++c) {
+      a.ind.push_back(c);
+      a.val.push_back(1.0f + static_cast<real>(r));
+    }
+    a.displ.push_back(static_cast<nnz_t>(a.ind.size()));
+  }
+  const EllBlockMatrix e = to_ell_block(a, 4);
+  ASSERT_GT(e.padded_nnz(), a.nnz());
+  const auto work = ell_work(e);
+  EXPECT_EQ(work.nnz, a.nnz());
+  EXPECT_DOUBLE_EQ(work.flops(), 2.0 * static_cast<double>(a.nnz()));
+  EXPECT_DOUBLE_EQ(work.bytes_per_fma(),
+                   8.0 * static_cast<double>(e.padded_nnz()) /
+                       static_cast<double>(a.nnz()));
 }
 
 }  // namespace

@@ -223,12 +223,43 @@ TEST(SubsetViews, UnsupportedFamiliesThrow) {
   EXPECT_THROW((void)core::make_subset_views(*f_ell.recon->serial_op(), 4),
                InvalidArgument);
 
-  core::Config bf16;
-  bf16.kernel = core::KernelKind::Baseline;
-  bf16.precision = sparse::ValueStorage::Bf16;
-  const auto f_bf16 = make_fixture(bf16);
-  EXPECT_THROW((void)core::make_subset_views(*f_bf16.recon->serial_op(), 4),
-               InvalidArgument);
+  core::Config library;
+  library.kernel = core::KernelKind::Library;
+  const auto f_library = make_fixture(library);
+  EXPECT_THROW(
+      (void)core::make_subset_views(*f_library.recon->serial_op(), 4),
+      InvalidArgument);
+}
+
+TEST(SubsetViews, ReducedPrecisionViewsAreRowRangesAndAdjoint) {
+  // fp16 values live in the same buffered layout, so its views slice the
+  // same partitions: concatenated forward applies equal the full apply bit
+  // for bit, and each view's transpose is its adjoint.
+  core::Config fp16;
+  fp16.precision = sparse::ValueStorage::Fp16;
+  const auto f = make_fixture(fp16);
+  const core::MemXCTOperator& op = *f.recon->serial_op();
+  ASSERT_EQ(op.precision(), sparse::ValueStorage::Fp16);
+  const auto x = testutil::random_vector(op.num_cols(), 17);
+  AlignedVector<real> full(static_cast<std::size_t>(op.num_rows()));
+  op.apply(x, full);
+  AlignedVector<real> concat(full.size());
+  for (const auto& v : core::make_subset_views(op, 8)) {
+    const auto first = static_cast<std::size_t>(v->first_row());
+    const auto count = static_cast<std::size_t>(v->num_rows());
+    v->apply(x, std::span<real>(concat).subspan(first, count));
+    const auto ax = std::span<const real>(concat).subspan(first, count);
+    auto y = testutil::random_vector(v->num_rows(),
+                                     19 + static_cast<std::uint64_t>(first));
+    AlignedVector<real> aty(static_cast<std::size_t>(v->num_cols()));
+    v->apply_transpose(y, aty);
+    const double lhs = solve::dot(ax, y);
+    const double rhs = solve::dot(x, aty);
+    const double scale = std::max({std::abs(lhs), std::abs(rhs), 1.0});
+    EXPECT_NEAR(lhs / scale, rhs / scale, 1e-5)
+        << "<A_s x, y> != <x, A_s^T y> for subset at row " << first;
+  }
+  expect_bitwise_eq(concat, full, "fp16 subset concat");
 }
 
 TEST(SubsetViews, MisalignedRangeThrows) {
@@ -450,6 +481,19 @@ core::Config streaming_config() {
   config.num_subsets = 8;
   config.iterations = 10;
   return config;
+}
+
+TEST(OsSolve, ReducedPrecisionOsSirtAndStreamingRun) {
+  core::Config config = streaming_config();
+  config.precision = sparse::ValueStorage::Fp16;
+  const auto f = make_fixture(config);
+  const auto result = f.recon->reconstruct(f.sino);
+  EXPECT_EQ(result.solve.iterations, 10);
+  EXPECT_GT(psnr(result.image, f.image), 17.0);
+  const int chunk = (static_cast<int>(f.geom.num_angles) + 3) / 4;
+  const auto previews = core::reconstruct_stream(*f.recon, f.sino, chunk);
+  ASSERT_EQ(previews.size(), 4u);
+  EXPECT_GT(psnr(previews.back().image, f.image), 17.0);
 }
 
 TEST(Streaming, PreviewsImproveMonotonically) {

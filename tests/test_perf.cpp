@@ -55,13 +55,12 @@ TEST(KernelWork, CompressedWidthsLowerTraffic) {
   w.nnz = 1'000'000;
   w.staged_words = 100'000;
   w.value_bytes_per_fma = 2.0;   // bf16 storage
-  w.index_bytes_per_fma = 1.25;  // measured varint average
-  w.staged_index_bytes = 1.5;    // measured varint average
-  EXPECT_DOUBLE_EQ(w.bytes_per_fma(), 3.25);
-  EXPECT_DOUBLE_EQ(w.regular_bytes(), 3.25e6 + 1e5 * 5.5);
+  w.index_bytes_per_fma = 2.08;  // 16-bit slots, 4% padding
+  EXPECT_DOUBLE_EQ(w.bytes_per_fma(), 4.08);
+  EXPECT_DOUBLE_EQ(w.regular_bytes(), 4.08e6 + 1e5 * 8.0);
   // Matrix stream and map reads amortize across k lanes; gathers do not.
   EXPECT_DOUBLE_EQ(w.regular_bytes_at_width(4),
-                   (3.25e6 + 1.5e5) / 4.0 + 4e5);
+                   (4.08e6 + 4e5) / 4.0 + 4e5);
 }
 
 TEST(MachineModel, Table2MachinesPresent) {

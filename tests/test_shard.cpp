@@ -11,6 +11,7 @@
 #include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
 #include "phantom/phantom.hpp"
+#include "serve/degrade.hpp"
 #include "serve/server.hpp"
 #include "shard/partition.hpp"
 #include "shard/plan.hpp"
@@ -482,33 +483,36 @@ TEST(ShardedReconstruction, OpkeyDistinguishesShardCounts) {
 // ---------------------------------------------------------------------------
 // Typed unsupported-configuration rejections (Reconstructor + admission).
 
-TEST(UnsupportedConfig, DistributedPlusReducedPrecisionIsTyped) {
+TEST(UnsupportedConfig, DistributedPlusEllBlockIsTyped) {
   // Reduce at P=1 is the sharded family too (core::is_sharded).
   const EndToEnd e;
   core::Config config;
   config.shard_exchange = Exchange::Reduce;
-  config.precision = sparse::ValueStorage::Bf16;
+  config.kernel = core::KernelKind::EllBlock;
   try {
     const core::Reconstructor recon(e.g, config);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
     EXPECT_EQ(err.flag_a(), "--shards");
-    EXPECT_EQ(err.flag_b(), "--precision");
+    EXPECT_EQ(err.flag_b(), "--kernel");
     EXPECT_NE(std::string(err.what()).find("unsupported configuration"),
               std::string::npos);
   }
 }
 
-TEST(UnsupportedConfig, ShardedPlusReducedPrecisionIsTyped) {
+TEST(UnsupportedConfig, ShardedPlusBaselineReducedPrecisionIsTyped) {
+  // Sharding takes bf16/fp16 like the serial path; the baseline kernel
+  // still has no 16-bit values, sharded or not.
   const EndToEnd e;
   core::Config config;
   config.num_shards = 2;
+  config.kernel = core::KernelKind::Baseline;
   config.precision = sparse::ValueStorage::Fp16;
   try {
     const core::Reconstructor recon(e.g, config);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
-    EXPECT_EQ(err.flag_a(), "--shards");
+    EXPECT_EQ(err.flag_a(), "--kernel");
     EXPECT_EQ(err.flag_b(), "--precision");
   }
 }
@@ -520,7 +524,7 @@ TEST(UnsupportedConfig, StillCatchableAsInvalidArgument) {
   core::Config config;
   config.num_shards = 2;
   config.shard_exchange = Exchange::Reduce;
-  config.precision = sparse::ValueStorage::Bf16;
+  config.kernel = core::KernelKind::EllBlock;
   EXPECT_THROW(core::Reconstructor(e.g, config), InvalidArgument);
 }
 
@@ -530,25 +534,25 @@ TEST(UnsupportedConfig, ServeAdmissionRejectsConflictsBeforeQueueing) {
   core::Config config;
   config.iterations = 2;
 
-  core::Config reduce_bf16 = config;
-  reduce_bf16.shard_exchange = Exchange::Reduce;
-  reduce_bf16.precision = sparse::ValueStorage::Bf16;
+  core::Config reduce_ell = config;
+  reduce_ell.shard_exchange = Exchange::Reduce;
+  reduce_ell.kernel = core::KernelKind::EllBlock;
   try {
-    (void)server.submit(e.g, reduce_bf16, e.sino);
+    (void)server.submit(e.g, reduce_ell, e.sino);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
     EXPECT_EQ(err.flag_a(), "--shards");
-    EXPECT_EQ(err.flag_b(), "--precision");
+    EXPECT_EQ(err.flag_b(), "--kernel");
   }
 
-  core::Config shards_bf16 = config;
-  shards_bf16.num_shards = 2;
-  shards_bf16.precision = sparse::ValueStorage::Bf16;
+  core::Config baseline_bf16 = config;
+  baseline_bf16.kernel = core::KernelKind::Baseline;
+  baseline_bf16.precision = sparse::ValueStorage::Bf16;
   try {
-    (void)server.submit(e.g, shards_bf16, e.sino);
+    (void)server.submit(e.g, baseline_bf16, e.sino);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
-    EXPECT_EQ(err.flag_a(), "--shards");
+    EXPECT_EQ(err.flag_a(), "--kernel");
     EXPECT_EQ(err.flag_b(), "--precision");
   }
 
@@ -732,6 +736,75 @@ TEST(ReduceExchange, ReconstructorUsesTileSnappedPartitions) {
       core::Reconstructor(e.g, serial_config).reconstruct(e.sino);
   EXPECT_LT(testutil::rel_error(recon.reconstruct(e.sino).image, serial.image),
             2e-2);
+}
+
+// ---------------------------------------------------------------------------
+// Reduced precision on the sharded path: the local buffered blocks are
+// quantized like the serial operator's, so every parity contract above
+// holds at bf16 too.
+
+TEST(ReducedPrecisionShards, DuplicateCglsImagesAreBitwiseEqualToOneShard) {
+  const EndToEnd e;
+  core::Config config;
+  config.iterations = 6;
+  config.precision = sparse::ValueStorage::Bf16;
+  const auto serial = core::Reconstructor(e.g, config).reconstruct(e.sino);
+  core::Config one = config;
+  one.num_shards = 1;
+  const auto p1 = core::Reconstructor(e.g, one).reconstruct(e.sino);
+  EXPECT_TRUE(bitwise_equal(p1.image, serial.image));
+  for (const int shards : {2, 3}) {
+    core::Config sharded = config;
+    sharded.num_shards = shards;
+    const core::Reconstructor recon(e.g, sharded);
+    ASSERT_NE(recon.shard_op(), nullptr);
+    EXPECT_TRUE(bitwise_equal(recon.reconstruct(e.sino).image, p1.image))
+        << shards << " shards";
+  }
+}
+
+TEST(ReducedPrecisionShards, ReduceExchangeRunsWithinCglsTolerance) {
+  // Same tolerance as ReduceExchange.ReconstructorUsesTileSnappedPartitions:
+  // the reduction reassociates, so Reduce is close to, not equal to, the
+  // serial operator at the same precision.
+  const EndToEnd e;
+  core::Config config;
+  config.iterations = 3;
+  config.precision = sparse::ValueStorage::Bf16;
+  const auto serial = core::Reconstructor(e.g, config).reconstruct(e.sino);
+  config.shard_exchange = Exchange::Reduce;
+  config.num_shards = 2;
+  const core::Reconstructor recon(e.g, config);
+  ASSERT_NE(recon.shard_op(), nullptr);
+  const auto result = recon.reconstruct(e.sino);
+  EXPECT_EQ(result.solve.iterations, 3);
+  EXPECT_LT(testutil::rel_error(result.image, serial.image), 2e-2);
+}
+
+TEST(ReducedPrecisionShards, ShardedOperatorChargesSixteenBitValues) {
+  const auto a = make_matrix();
+  ShardedOperator::Options opt;
+  opt.num_shards = 2;
+  const ShardedOperator fp32(a, opt);
+  opt.precision = sparse::ValueStorage::Fp16;
+  const ShardedOperator fp16(a, opt);
+  EXPECT_LT(fp16.bytes(), fp32.bytes());
+  opt.kernel = LocalKernel::BaselineCsr;
+  EXPECT_THROW(ShardedOperator(a, opt), InvalidArgument);
+}
+
+TEST(ReducedPrecisionShards, DegradeRungRewritesShardedBufferedPrecision) {
+  core::Config sharded;
+  sharded.num_shards = 2;
+  serve::DegradeRung preview;
+  preview.precision = sparse::ValueStorage::Bf16;
+  const core::Config out = serve::apply_rung(sharded, preview);
+  EXPECT_EQ(out.precision, sparse::ValueStorage::Bf16);
+  EXPECT_NO_THROW(core::validate_config(out));
+  // The baseline kernel keeps fp32, the conflict validate_config rejects.
+  sharded.kernel = core::KernelKind::Baseline;
+  EXPECT_EQ(serve::apply_rung(sharded, preview).precision,
+            sparse::ValueStorage::Fp32);
 }
 
 TEST(ShardedReconstruction, SolverRunsPlugAndPlay) {

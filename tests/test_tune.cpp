@@ -78,13 +78,13 @@ TEST(ValidateConfig, PairwiseConflictsNameTheFlags) {
   {
     core::Config config;
     config.shard_exchange = shard::Exchange::Reduce;
-    config.precision = sparse::ValueStorage::Bf16;
+    config.kernel = core::KernelKind::EllBlock;
     try {
       core::validate_config(config);
       FAIL() << "expected UnsupportedConfigError";
     } catch (const UnsupportedConfigError& e) {
       EXPECT_EQ(e.flag_a(), "--shards");
-      EXPECT_EQ(e.flag_b(), "--precision");
+      EXPECT_EQ(e.flag_b(), "--kernel");
     }
   }
   {
