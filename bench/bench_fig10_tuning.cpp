@@ -9,13 +9,15 @@
 // large a buffer would leak out of L1 on real hardware (the model's 32 KB
 // boundary).
 //
+// Each cell is the median over 5 timed forward applies with its IQR in
+// brackets; `*` marks the default Config::buffer (128 rows, 16 KB), which
+// this sweep is the evidence for.
+//
 //   bench_fig10_tuning [--json <path>] [--quick]
 //
-// --json writes the sweep in the SAME candidate-table schema the in-process
-// autotuner (src/tune) records in `.tune` files and memxct_cli
-// --autotune-json emits, so offline sweeps and build-time measurements are
-// directly comparable. --quick restricts the sweep to the tuner's quick
-// seed grid.
+// --json writes one row per cell (partsize, buffsize in elements, median
+// seconds, GB/s, GFLOP/s, GFLOP/s IQR). --quick sweeps the 2 x 2 corner
+// {128, 256} x {4, 16} KB around the default.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,7 +25,6 @@
 #include "bench_util.hpp"
 #include "io/table.hpp"
 #include "sparse/buffered.hpp"
-#include "tune/tune.hpp"
 
 int main(int argc, char** argv) {
   using namespace memxct;
@@ -47,8 +48,6 @@ int main(int argc, char** argv) {
   AlignedVector<real> x(static_cast<std::size_t>(a.num_cols), 1.0f);
   AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
 
-  // --quick mirrors the autotuner's quick seed grid (in KB at fp32:
-  // 1024/4096 elements = 4/16 KB) so the two tables line up point for point.
   const std::vector<idx_t> partsizes =
       quick ? std::vector<idx_t>{128, 256}
             : std::vector<idx_t>{16, 32, 64, 128, 256, 512, 1024};
@@ -61,10 +60,11 @@ int main(int argc, char** argv) {
   for (const idx_t kb : buffer_kb) header.push_back(std::to_string(kb) + "KB");
   table.header(std::move(header));
 
-  std::vector<tune::Candidate> candidates;
+  const sparse::BufferConfig defaults;
+  std::string json = "[\n";
+  const char* sep = "";
   double best = 0.0;
   idx_t best_part = 0, best_kb = 0;
-  std::size_t best_index = 0;
   for (const idx_t partsize : partsizes) {
     std::vector<std::string> row{std::to_string(partsize)};
     for (const idx_t kb : buffer_kb) {
@@ -72,29 +72,37 @@ int main(int argc, char** argv) {
                                         kb * 1024 / static_cast<idx_t>(
                                                         sizeof(real))};
       const auto bm = sparse::build_buffered(a, config);
-      const double t =
-          bench::time_kernel([&] { sparse::spmv_buffered(bm, x, y); }, 3);
+      const auto samples =
+          bench::time_samples([&] { sparse::spmv_buffered(bm, x, y); });
+      const double t = bench::quantile(samples, 0.5);
       const auto work = sparse::buffered_work(bm);
       const double gflops = work.gflops(t);
-      tune::Candidate c;
-      c.kernel = core::KernelKind::Buffered;
-      c.schedule = core::ScheduleKind::Dynamic;  // raw kernel, no plan
-      c.buffer = config;
-      c.apply_seconds = t;  // forward sweep only; transpose stays 0
-      c.gbs = work.bandwidth_gbs(t);
-      c.gflops = gflops;
+      const double iqr = work.gflops(bench::quantile(samples, 0.25)) -
+                         work.gflops(bench::quantile(samples, 0.75));
       if (gflops > best) {
         best = gflops;
         best_part = partsize;
         best_kb = kb;
-        best_index = candidates.size();
       }
-      candidates.push_back(c);
-      row.push_back(io::TablePrinter::num(gflops, 2));
+      const bool is_default = config.partsize == defaults.partsize &&
+                              config.buffsize == defaults.buffsize;
+      row.push_back(io::TablePrinter::num(gflops, 2) + " [" +
+                    io::TablePrinter::num(iqr, 2) + "]" +
+                    (is_default ? " *" : ""));
+      char line[256];
+      std::snprintf(line, sizeof(line),
+                    "%s{\"partsize\": %d, \"buffsize\": %d, \"seconds\": "
+                    "%.6g, \"gbs\": %.6g, \"gflops\": %.6g, "
+                    "\"gflops_iqr\": %.6g}",
+                    sep, static_cast<int>(config.partsize),
+                    static_cast<int>(config.buffsize), t,
+                    work.bandwidth_gbs(t), gflops, iqr);
+      json += line;
+      sep = ",\n";
     }
     table.row(std::move(row));
   }
-  if (!candidates.empty()) candidates[best_index].chosen = true;
+  json += "\n]\n";
   table.print();
   table.write_csv("fig10_tuning.csv");
 
@@ -105,14 +113,13 @@ int main(int argc, char** argv) {
                    json_path.c_str());
       return 1;
     }
-    const std::string json = tune::candidates_json(candidates);
     std::fwrite(json.data(), 1, json.size(), out);
     std::fclose(out);
     std::printf("wrote %s\n", json_path.c_str());
   }
 
   std::printf(
-      "\npeak: %.2f GFLOPS at partsize %d, buffer %d KB\n"
+      "\npeak median: %.2f GFLOPS at partsize %d, buffer %d KB\n"
       "Paper reference: KNL peak at block size 128 with 8 KB buffers\n"
       "(4 SMT/core); GPUs peak at block 512-1024 with 48-96 KB shared\n"
       "memory.\n",

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/aligned.hpp"
 #include "geometry/projector.hpp"
@@ -68,18 +69,35 @@ inline double matrix_bytes_per_slice(const perf::KernelWork& fwd,
   return fwd.regular_bytes_at_width(k) + bwd.regular_bytes_at_width(k);
 }
 
+/// Wall time (seconds) of each of `reps` calls of `fn`, ascending. One
+/// extra first call warms caches and is discarded.
+template <class F>
+std::vector<double> time_samples(F&& fn, int reps = 5) {
+  fn();  // warm-up
+  std::vector<double> samples(static_cast<std::size_t>(std::max(1, reps)));
+  for (double& s : samples) {
+    perf::WallTimer t;
+    fn();
+    s = t.seconds();
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples;
+}
+
+/// Quantile q ∈ [0, 1] of ascending `samples`, interpolated linearly.
+inline double quantile(const std::vector<double>& samples, double q) {
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] + (pos - static_cast<double>(lo)) *
+                           (samples[hi] - samples[lo]);
+}
+
 /// Median-of-reps timing of a kernel invocation (seconds). The first call
 /// warms caches and is discarded.
 template <class F>
 double time_kernel(F&& fn, int reps = 5) {
-  fn();  // warm-up
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    perf::WallTimer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
+  return quantile(time_samples(fn, reps), 0.5);
 }
 
 }  // namespace memxct::bench

@@ -17,12 +17,6 @@
 //   --schedule static|dynamic  apply-loop scheduling        (default static)
 //   --partsize N               buffered-kernel partition rows (default 128)
 //   --buffsize N               buffered-kernel buffer elements (default 4096)
-//   --autotune off|cached|force   resolve kernel/schedule/buffer from
-//                              measurements on the traced matrix (src/tune);
-//                              cached replays an intact .tune decision from
-//                              --cache DIR, force always re-measures
-//   --autotune-json FILE       write the measured candidate table (the same
-//                              schema bench_fig10_tuning --json emits)
 //   --precision fp32|bf16|fp16 operator value storage      (default fp32;
 //                              bf16/fp16 store the buffered layout's values
 //                              in 16 bits, serial or sharded, any solver;
@@ -105,8 +99,7 @@ using namespace memxct;
                "[--iterations K] [--lambda L] [--ordering hilbert|rowmajor|"
                "morton] [--kernel buffered|baseline|ell|library] "
                "[--schedule static|dynamic] [--partsize N] [--buffsize N] "
-               "[--precision fp32|bf16|fp16] [--autotune off|cached|force] "
-               "[--autotune-json FILE] [--shards P] "
+               "[--precision fp32|bf16|fp16] [--shards P] "
                "[--exchange duplicate|reduce] "
                "[--shard-groups G] [--shard-tiles T] "
                "[--noise I0] [--ingest passthrough|reject|sanitize] "
@@ -151,7 +144,6 @@ namespace {
 
 int run(int argc, char** argv) {
   std::string input, output = "reconstruction.pgm", demo, save_sino, fbp;
-  std::string autotune_json;
   core::Config config;
   idx_t angles = 0, channels = 0, size = 128;
   double noise = 0.0;
@@ -246,14 +238,6 @@ int run(int argc, char** argv) {
     } else if (arg == "--precision") {
       if (!sparse::parse_value_storage(next(), config.precision))
         usage(argv[0]);
-    } else if (arg == "--autotune") {
-      const std::string v = next();
-      if (v == "off") config.autotune = core::AutotuneMode::Off;
-      else if (v == "cached") config.autotune = core::AutotuneMode::Cached;
-      else if (v == "force") config.autotune = core::AutotuneMode::Force;
-      else usage(argv[0]);
-    } else if (arg == "--autotune-json") {
-      autotune_json = next();
     } else if (arg == "--exchange") {
       const std::string v = next();
       if (v == "duplicate") config.shard_exchange = shard::Exchange::Duplicate;
@@ -323,52 +307,6 @@ int run(int argc, char** argv) {
               io::TablePrinter::bytes(
                   static_cast<double>(report.regular_bytes)).c_str(),
               report.cache_hit ? ", cache hit" : "");
-  const tune::TuneReport& tuner = recon.tune_report();
-  if (tuner.tuned) {
-    if (tuner.cache_hit)
-      std::printf("autotune: cache hit — replayed %s (zero measurement)\n",
-                  tuner.tune_path.c_str());
-    else
-      std::printf("autotune: measured %zu candidates in %.0f ms%s%s\n",
-                  tuner.candidates.size(), tuner.measure_seconds * 1e3,
-                  tuner.cache_corrupt ? " (cached decision was corrupt)" : "",
-                  tuner.tune_path.empty() ? " (no --cache: not persisted)"
-                                          : "");
-    io::TablePrinter tt("Autotune candidates (fwd+bwd pass)");
-    tt.header({"kernel", "schedule", "partsize", "buffsize", "GB/s",
-               "GFLOP/s", "chosen"});
-    for (const tune::Candidate& c : tuner.candidates)
-      tt.row({core::to_string(c.kernel), core::to_string(c.schedule),
-              std::to_string(c.buffer.partsize),
-              std::to_string(c.buffer.buffsize),
-              io::TablePrinter::num(c.gbs, 2),
-              io::TablePrinter::num(c.gflops, 2), c.chosen ? "<==" : ""});
-    tt.print();
-    // Print the decision as the exact flags that replay it by hand.
-    const char* kernel_flag =
-        tuner.chosen.kernel == core::KernelKind::Baseline   ? "baseline"
-        : tuner.chosen.kernel == core::KernelKind::EllBlock ? "ell"
-        : tuner.chosen.kernel == core::KernelKind::Library  ? "library"
-                                                            : "buffered";
-    std::printf("autotune chose: --kernel %s --schedule %s --partsize %d "
-                "--buffsize %d (%.2f GB/s)\n",
-                kernel_flag,
-                tuner.chosen.schedule == core::ScheduleKind::Dynamic
-                    ? "dynamic"
-                    : "static",
-                static_cast<int>(tuner.chosen.buffer.partsize),
-                static_cast<int>(tuner.chosen.buffer.buffsize),
-                tuner.chosen.gbs);
-    if (!autotune_json.empty()) {
-      std::FILE* out = std::fopen(autotune_json.c_str(), "w");
-      if (out == nullptr)
-        throw IoError("cannot open " + autotune_json);
-      const std::string json = tune::candidates_json(tuner.candidates);
-      std::fwrite(json.data(), 1, json.size(), out);
-      std::fclose(out);
-      std::printf("wrote %s\n", autotune_json.c_str());
-    }
-  }
   if (recon.shard_op() != nullptr) {
     const auto* sop = recon.shard_op();
     std::int64_t max_rank = 0;

@@ -9,8 +9,7 @@
 //   memxct_serve [--requests N] [--workers K] [--geometries G] [--size S]
 //                [--iterations I] [--queue Q] [--budget-bytes B]
 //                [--cache-dir DIR] [--deadline-ms D] [--block-width W]
-//                [--precision fp32|bf16|fp16] [--autotune off|cached|force]
-//                [--degrade]
+//                [--precision fp32|bf16|fp16] [--degrade]
 //                [--max-retries R] [--retry-backoff-ms B] [--watchdog-ms W]
 //                [--shards P] [--shard-groups G] [--shard-tiles T]
 //
@@ -27,12 +26,6 @@
 // model constant. --precision serves bf16/fp16 operators (buffered kernel,
 // 16-bit values); the registry's byte budget charges their smaller
 // footprint.
-//
-// --autotune lets the registry resolve each build's kernel/schedule/buffer
-// from measurements on the traced matrix (src/tune); with --cache-dir the
-// decisions persist as .tune files and later builds replay them. The
-// registry table then reports tuned builds, tune cache hits, and
-// measurement time.
 //
 // --degrade enables the default quality ladder (plus mid-solve salvage),
 // --max-retries/--retry-backoff-ms configure the transient-fault retry
@@ -91,7 +84,6 @@ int main(int argc, char** argv) {
   int shards = 1;
   int shard_groups = 1;
   int shard_tiles = 0;
-  core::AutotuneMode autotune = core::AutotuneMode::Off;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -126,19 +118,7 @@ int main(int argc, char** argv) {
       shard_groups = int_flag(next("--shard-groups"), arg.c_str());
     else if (arg == "--shard-tiles")
       shard_tiles = std::atoi(next("--shard-tiles"));
-    else if (arg == "--autotune") {
-      const std::string v = next("--autotune");
-      if (v == "off") autotune = core::AutotuneMode::Off;
-      else if (v == "cached") autotune = core::AutotuneMode::Cached;
-      else if (v == "force") autotune = core::AutotuneMode::Force;
-      else {
-        std::fprintf(stderr,
-                     "memxct_serve: unknown --autotune '%s' (expected "
-                     "off|cached|force)\n",
-                     v.c_str());
-        return 2;
-      }
-    } else if (arg == "--precision") {
+    else if (arg == "--precision") {
       const char* v = next("--precision");
       if (!sparse::parse_value_storage(v, precision)) {
         std::fprintf(stderr,
@@ -169,7 +149,6 @@ int main(int argc, char** argv) {
   config.iterations = iterations;
   config.block_width = block_width;
   config.precision = precision;
-  config.autotune = autotune;
   config.num_shards = shards;
   config.shard_group_size = shard_groups;
   config.shard_pipeline_tiles = shard_tiles;
@@ -266,14 +245,6 @@ int main(int argc, char** argv) {
                io::TablePrinter::bytes(
                    static_cast<double>(m.registry.peak_resident_bytes)),
                std::to_string(m.registry.disk_tier_hits)});
-    table.print();
-  }
-  if (m.registry.tuned_builds > 0) {
-    io::TablePrinter table("Autotuner");
-    table.header({"tuned builds", "tune cache hits", "measurement"});
-    table.row({std::to_string(m.registry.tuned_builds),
-               std::to_string(m.registry.tune_cache_hits),
-               io::TablePrinter::time_s(m.registry.tune_measure_ms / 1e3)});
     table.print();
   }
   if (degrade || max_retries > 1 || watchdog_ms > 0.0) {

@@ -41,21 +41,6 @@ enum class SolverKind { CGLS, SIRT, GradientDescent, OsSirt, OsSart };
 
 [[nodiscard]] const char* to_string(SolverKind kind) noexcept;
 
-/// Operator-build autotuning policy (src/tune). The tuner micro-benchmarks
-/// a pruned kernel × schedule × partsize/buffsize candidate set on the
-/// actual traced matrix and resolves kernel/schedule/buffer to the measured
-/// winner before the operator is constructed. Measurement picks the CONFIG,
-/// never the arithmetic: a tuned build is bitwise identical to an untuned
-/// build forced to the same resolved config.
-enum class AutotuneMode {
-  Off,     ///< Use the config's kernel/schedule/buffer as given.
-  Cached,  ///< Replay a cached `.tune` decision when one exists (and is
-           ///< intact) in cache_dir; measure and record otherwise.
-  Force,   ///< Always re-measure; overwrites any cached decision.
-};
-
-[[nodiscard]] const char* to_string(AutotuneMode mode) noexcept;
-
 struct Config {
   /// Domain ordering; Hilbert is the paper's scheme, RowMajor the naive
   /// baseline, Morton the Section 3.2.3 comparison.
@@ -63,7 +48,7 @@ struct Config {
   idx_t tile_size = 0;  ///< 0 = auto (default_tile_size).
 
   KernelKind kernel = KernelKind::Buffered;
-  sparse::BufferConfig buffer;  ///< partsize/buffsize tuning (Fig 10).
+  sparse::BufferConfig buffer;  ///< partsize/buffsize (Fig 10's sweep).
   idx_t ell_block_rows = 64;    ///< Partition size for the ELL layout.
   /// Apply-time work sharing; StaticPlan is the allocation-free default.
   ScheduleKind schedule = ScheduleKind::StaticPlan;
@@ -78,15 +63,6 @@ struct Config {
   /// alike. Buffered kernel only (supports_reduced_precision). Part of the
   /// operator identity (opkey suffix "-v<precision>").
   sparse::ValueStorage precision = sparse::ValueStorage::Fp32;
-
-  /// Operator-build autotuning (src/tune): Off keeps the fields above as
-  /// given; Cached/Force let the in-process tuner resolve kernel, schedule,
-  /// and buffer from measurements on the traced matrix (serial operator
-  /// path only — sharded builds ignore it). NOT part of the operator
-  /// identity: the registry and the Reconstructor key operators by the
-  /// RESOLVED config, so a tuned operator and an explicitly-configured
-  /// twin share one cache entry.
-  AutotuneMode autotune = AutotuneMode::Off;
 
   SolverKind solver = SolverKind::CGLS;
   int iterations = 30;      ///< Paper's CG default (full sweeps for OS).
@@ -153,8 +129,8 @@ struct Config {
 /// Which operator family `config` builds: true for the partitioned
 /// shard::ShardedOperator (more than one shard, or the Reduce exchange at
 /// any P), false for the serial MemXCTOperator. The one rule every layer
-/// (validation, Reconstructor, autotune, degradation, batch, streaming,
-/// serve) branches on.
+/// (validation, Reconstructor, degradation, batch, streaming, serve)
+/// branches on.
 [[nodiscard]] inline bool is_sharded(const Config& config) noexcept {
   return config.num_shards > 1 ||
          config.shard_exchange == shard::Exchange::Reduce;
@@ -169,11 +145,11 @@ struct Config {
 }
 
 /// Single source of truth for configuration-combination support: throws
-/// InvalidArgument for out-of-range scalar fields and the typed
+/// InvalidArgument for out-of-range scalar fields (num_shards, the buffer's
+/// partsize and 16-bit-addressable buffsize) and the typed
 /// UnsupportedConfigError for the two pairwise flag conflicts
 /// (shards+kernel, kernel+precision). Called by the Reconstructor build
-/// path, serve admission, and the autotuner's candidate pruning, so all
-/// three agree on what is legal.
+/// path and serve admission, so both agree on what is legal.
 void validate_config(const Config& config);
 
 }  // namespace memxct::core

@@ -42,18 +42,6 @@ const char* to_string(ScheduleKind kind) noexcept {
   return "?";
 }
 
-const char* to_string(AutotuneMode mode) noexcept {
-  switch (mode) {
-    case AutotuneMode::Off:
-      return "off";
-    case AutotuneMode::Cached:
-      return "cached";
-    case AutotuneMode::Force:
-      return "force";
-  }
-  return "?";
-}
-
 const char* to_string(SolverKind kind) noexcept {
   switch (kind) {
     case SolverKind::CGLS:

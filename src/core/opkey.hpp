@@ -3,12 +3,12 @@
 // The memoized operator (orderings + traced matrix + kernel structures +
 // static plans) is fully determined by the acquisition geometry and the
 // operator-affecting Config fields — ordering scheme, tile size, kernel
-// flavour, buffer tuning, ELL block size, schedule, block width, value
-// precision. Solver choice,
-// iteration budget, ingest policy, and checkpoint paths do NOT change the
-// operator, so requests that differ only in those fields share one cached
-// operator. The serve-layer OperatorRegistry keys its LRU cache on the
-// canonical text produced here; the hash is a compact display/metric id.
+// flavour, buffer sizes, ELL block size, schedule, block width, value
+// precision. Solver choice, iteration budget, ingest policy, and checkpoint
+// paths do NOT change the operator, so requests that differ only in those
+// fields share one cached operator. The serve-layer OperatorRegistry keys
+// its LRU cache on the canonical text produced here; the hash is a compact
+// display/metric id.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ struct OperatorKey {
                                        const Config& config);
 
 /// Normalizes a request config down to the fields that shape the operator:
-/// ordering, tile size, kernel, buffer tuning, ELL block size, schedule,
+/// ordering, tile size, kernel, buffer sizes, ELL block size, schedule,
 /// block width, value precision, and the shard layout (count, group size,
 /// pipeline tiles, exchange mode).
 /// Everything else (solver, iterations, ingest, checkpoints, cache dir,

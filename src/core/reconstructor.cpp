@@ -70,8 +70,7 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
     : geometry_(geometry), config_(config) {
   geometry_.validate();
   // One gate for every illegal field combination (the shards+kernel and
-  // kernel+precision conflicts): the same call serve admission and the
-  // tuner's candidate pruning make.
+  // kernel+precision conflicts): the same call serve admission makes.
   validate_config(config_);
   perf::WallTimer total;
   perf::WallTimer phase;
@@ -113,16 +112,6 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
   report_.irregular_bytes =
       (static_cast<std::int64_t>(a.num_rows) + a.num_cols) *
       static_cast<std::int64_t>(sizeof(real));
-
-  // Operator-build autotuning (src/tune): resolve kernel/schedule/buffer
-  // from measurements on the traced matrix before anything is built from
-  // it. Serial operator path only — the sharded family has its own layout
-  // constraints and ignores the flag.
-  if (config_.autotune != AutotuneMode::Off && !is_sharded(config_)) {
-    phase.reset();
-    tune_report_ = tune::autotune_operator(geometry_, config_, a);
-    report_.tune_seconds = phase.seconds();
-  }
 
   if (is_sharded(config_)) {
     // Sharded path: per-shard slices of A and A^T with precomputed exchange

@@ -21,7 +21,6 @@
 #include "hilbert/ordering.hpp"
 #include "shard/sharded_operator.hpp"
 #include "solve/solver.hpp"
-#include "tune/tune.hpp"
 
 namespace memxct::core {
 
@@ -32,8 +31,6 @@ struct PreprocessReport {
   double trace_seconds = 0.0;      ///< Ray tracing / matrix construction.
   double transpose_seconds = 0.0;  ///< Includes derived-format builds.
   double partition_seconds = 0.0;  ///< Sharded slice + plan construction.
-  double tune_seconds = 0.0;  ///< Autotune step wall time (replay or
-                              ///< measurement; 0 when autotune is Off).
   double total_seconds = 0.0;
   nnz_t nnz = 0;
   std::int64_t regular_bytes = 0;    ///< Memoized matrix footprint.
@@ -152,16 +149,8 @@ class Reconstructor {
   [[nodiscard]] const PreprocessReport& preprocess_report() const noexcept {
     return report_;
   }
-  /// The RESOLVED configuration: when the ctor ran the autotuner this is
-  /// the config with kernel/schedule/buffer replaced by the measured winner
-  /// and autotune cleared — i.e. what was actually built (and what
-  /// operator_key should be computed from).
+  /// The configuration the operator was built from.
   [[nodiscard]] const Config& config() const noexcept { return config_; }
-  /// What the autotune step did (tune_report().tuned == false when
-  /// config.autotune was Off or the path ignores it).
-  [[nodiscard]] const tune::TuneReport& tune_report() const noexcept {
-    return tune_report_;
-  }
   [[nodiscard]] const geometry::Geometry& geometry() const noexcept {
     return geometry_;
   }
@@ -192,7 +181,6 @@ class Reconstructor {
   geometry::Geometry geometry_;
   Config config_;
   PreprocessReport report_;
-  tune::TuneReport tune_report_;
   std::unique_ptr<hilbert::Ordering> sino_order_;
   std::unique_ptr<hilbert::Ordering> tomo_order_;
   std::unique_ptr<MemXCTOperator> serial_op_;

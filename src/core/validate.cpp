@@ -1,8 +1,8 @@
 // core::validate_config — the single source of truth for which Config field
-// combinations the pipeline supports. The Reconstructor ctor, serve
-// admission (Server::submit), and the autotuner's candidate pruning all call
-// this one function, so a combination is either legal everywhere or rejected
-// everywhere with the same typed error.
+// combinations the pipeline supports. The Reconstructor ctor and serve
+// admission (Server::submit) both call this one function, so a combination
+// is either legal everywhere or rejected everywhere with the same typed
+// error.
 #include "common/error.hpp"
 #include "core/config.hpp"
 
@@ -11,6 +11,11 @@ namespace memxct::core {
 void validate_config(const Config& config) {
   if (config.num_shards < 1)
     throw InvalidArgument("config: num_shards must be >= 1");
+  if (config.buffer.partsize < 1)
+    throw InvalidArgument("config: partsize must be >= 1");
+  if (config.buffer.buffsize < 1 || config.buffer.buffsize > 65536)
+    throw InvalidArgument(
+        "config: buffsize must be in [1, 65536] (16-bit buffer addressing)");
 
   const bool shardable_kernel = config.kernel == KernelKind::Baseline ||
                                 config.kernel == KernelKind::Buffered;

@@ -47,7 +47,7 @@ enum class BlobKind : std::uint32_t {
   Vector = 2,
   Checkpoint = 3,
   // 4 tagged a retired matrix payload; never reuse it.
-  TunedChoice = 5,  ///< Autotuner decision record (src/tune, `.tune` files).
+  // 5 tagged a retired tuning-decision record; never reuse it.
 };
 
 /// Accumulates a typed payload in memory. Scalars are written raw

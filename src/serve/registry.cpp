@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "perf/timer.hpp"
-#include "tune/tune.hpp"
 
 namespace memxct::serve {
 
@@ -18,33 +17,8 @@ OperatorRegistry::OperatorRegistry(RegistryOptions options)
 OperatorRegistry::Lease OperatorRegistry::acquire(
     const geometry::Geometry& geometry, const core::Config& config) {
   Lease lease;
-
-  // Autotuned requests resolve BEFORE keying whenever a prior decision is
-  // known, so they hit the same entry as an explicitly-configured twin. An
-  // unresolved request keys (and single-flights) under its nominal config;
-  // the build resolves it and the finished entry is indexed under the
-  // resolved key below. Force mode never replays an in-process decision.
-  core::Config effective = config;
-  std::string tune_fp;
-  if (config.autotune != core::AutotuneMode::Off) {
-    tune_fp = tune::tune_fingerprint(geometry, config);
-    if (config.autotune == core::AutotuneMode::Cached) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (auto it = tuned_.find(tune_fp); it != tuned_.end()) {
-        effective.kernel = it->second.kernel;
-        effective.schedule = it->second.schedule;
-        effective.buffer = it->second.buffer;
-        effective.autotune = core::AutotuneMode::Off;
-        lease.tuned = true;
-        ++stats_.tuned_builds;  // a resolution was applied (instant replay)
-        ++stats_.tune_cache_hits;
-      }
-    }
-  }
-
-  lease.key = core::operator_key(geometry, effective);
-  const std::string key = lease.key.text;  // single-flight/build key
-  std::string store_key = key;             // index key (resolved after build)
+  lease.key = core::operator_key(geometry, config);
+  const std::string key = lease.key.text;
 
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -75,12 +49,7 @@ OperatorRegistry::Lease OperatorRegistry::acquire(
   std::shared_ptr<const core::Reconstructor> recon;
   perf::WallTimer build_timer;
   try {
-    core::Config build_config = core::operator_config(effective);
-    // operator_config normalizes to operator identity, which deliberately
-    // excludes autotune (it is build policy, not identity) — re-apply it so
-    // the Reconstructor runs the tuner; the disk tier below doubles as the
-    // `.tune` replay tier in Cached mode.
-    build_config.autotune = effective.autotune;
+    core::Config build_config = core::operator_config(config);
     if (cache_allowed)
       build_config.cache_dir = options_.disk_cache_dir;  // second tier
     if (options_.pre_build_hook) options_.pre_build_hook(key);
@@ -110,16 +79,6 @@ OperatorRegistry::Lease OperatorRegistry::acquire(
   lease.recon = recon;
   lease.disk_hit = recon->preprocess_report().cache_hit;
   const bool cache_corrupt = recon->preprocess_report().cache_corrupt;
-  // If the build ran the tuner, the entry belongs under the key of the
-  // RESOLVED config (recon->config() carries the winner), so a later
-  // explicit request for that exact config — or another tuned request —
-  // lands on the same entry.
-  const tune::TuneReport& tuned = recon->tune_report();
-  if (tuned.tuned) {
-    lease.tuned = true;
-    lease.key = core::operator_key(geometry, recon->config());
-    store_key = lease.key.text;
-  }
   if (cache_allowed) {
     // Corrupt load = tier failure; a clean build through the tier (hit,
     // miss-and-rewrite) = tier success. This is also what closes the
@@ -145,31 +104,14 @@ OperatorRegistry::Lease OperatorRegistry::acquire(
     if (lease.disk_hit) ++stats_.disk_tier_hits;
     if (cache_corrupt) ++stats_.cache_corrupt_loads;
     if (disk_tier && !cache_allowed) ++stats_.breaker_bypassed_builds;
-    if (tuned.tuned) {
-      ++stats_.tuned_builds;
-      if (tuned.cache_hit) ++stats_.tune_cache_hits;
-      stats_.tune_measure_ms += tuned.measure_seconds * 1e3;
-      // Remember the resolution so later Cached acquires for this
-      // fingerprint resolve to the final key without building at all.
-      tuned_[tuned.fingerprint] =
-          TunedFields{recon->config().kernel, recon->config().schedule,
-                      recon->config().buffer};
-    }
 
     const std::int64_t budget = options_.byte_budget;
-    if (auto resolved = index_.find(store_key); resolved != index_.end()) {
-      // A tuned build resolved onto a key that is already resident (e.g.
-      // the explicit twin arrived first, or two modes raced). Touch the
-      // resident entry and drop the duplicate bundle with this lease —
-      // inserting twice would double-charge the budget.
-      lru_.splice(lru_.end(), lru_, resolved->second);
-    } else if (budget > 0 && bytes > budget) {
+    if (budget > 0 && bytes > budget) {
       // Larger than the whole budget: serve it, never retain it — the
       // budget is a hard invariant, not a soft target.
       ++stats_.uncacheable;
     } else {
-      index_[store_key] =
-          lru_.insert(lru_.end(), Entry{store_key, recon, bytes});
+      index_[key] = lru_.insert(lru_.end(), Entry{key, recon, bytes});
       stats_.resident_bytes += bytes;
       ++stats_.resident_operators;
       // Evict least-recently-used entries (never the one just inserted)

@@ -80,12 +80,6 @@ struct RegistryStats {
   std::int64_t cache_corrupt_loads = 0;  ///< Disk-tier loads that failed
                                          ///< verification (file present but
                                          ///< unusable; rebuilt).
-  std::int64_t tuned_builds = 0;  ///< Builds that ran the autotune step
-                                  ///< (measured or replayed a decision).
-  std::int64_t tune_cache_hits = 0;  ///< Tuned builds resolved WITHOUT
-                                     ///< measuring (in-memory fingerprint map
-                                     ///< or an intact `.tune` file).
-  double tune_measure_ms = 0.0;  ///< Cumulative candidate-measurement time.
   std::int64_t breaker_bypassed_builds = 0;  ///< Builds routed straight to
                                              ///< re-trace by an open breaker.
   std::int64_t breaker_opens = 0;   ///< Breaker state() snapshot fields.
@@ -112,8 +106,6 @@ class OperatorRegistry {
     core::OperatorKey key;
     bool hit = false;       ///< Served from the in-memory tier (no build).
     bool disk_hit = false;  ///< Build loaded its traced matrix from disk.
-    bool tuned = false;     ///< Config was resolved by the autotuner (the
-                            ///< key reflects the RESOLVED config).
     double build_seconds = 0.0;  ///< Preprocess time paid by THIS request
                                  ///< (0 on memory hit or single-flight join).
   };
@@ -124,14 +116,6 @@ class OperatorRegistry {
   /// miss. Thread-safe; concurrent misses on one key are deduplicated to a
   /// single build. Every config validate_config accepts is servable: both
   /// operator families (core::is_sharded) expose per-worker views.
-  ///
-  /// Autotuned requests (config.autotune != Off) are keyed by their
-  /// RESOLVED config — the measured winner — so a tuned operator and an
-  /// explicitly-configured twin share one cache entry and the byte budget /
-  /// LRU semantics are unchanged. Resolutions are remembered per
-  /// geometry fingerprint (and, with a disk tier, replayed from `.tune`
-  /// files), so only the first Cached-mode request per fingerprint pays the
-  /// measurement.
   [[nodiscard]] Lease acquire(const geometry::Geometry& geometry,
                               const core::Config& config);
 
@@ -168,16 +152,6 @@ class OperatorRegistry {
   LruList lru_;                       ///< Front = least recently used.
   std::unordered_map<std::string, LruList::iterator> index_;
   std::unordered_set<std::string> building_;  ///< Keys with a build in flight.
-  /// Autotune resolutions this process has already decided: tune
-  /// fingerprint → winning (kernel, schedule, buffer). Lets Cached-mode
-  /// acquires resolve to the final operator key before touching the LRU,
-  /// even when no disk tier is configured.
-  struct TunedFields {
-    core::KernelKind kernel;
-    core::ScheduleKind schedule;
-    sparse::BufferConfig buffer;
-  };
-  std::unordered_map<std::string, TunedFields> tuned_;
   RegistryStats stats_;
 };
 

@@ -99,9 +99,8 @@ std::int64_t Server::submit(const geometry::Geometry& geometry,
                           " does not match the geometry");
   // Typed flag-conflict rejections first: a client combining individually
   // valid knobs learns exactly which pair to change. core::validate_config
-  // is the same single gate the Reconstructor ctor and the autotuner's
-  // candidate pruning use, raised here at admission so an illegal request
-  // never occupies a queue slot.
+  // is the same single gate the Reconstructor ctor uses, raised here at
+  // admission so an illegal request never occupies a queue slot.
   core::validate_config(config);
   if (options.deadline_seconds < 0.0)
     throw InvalidArgument("serve: deadline_seconds must be >= 0");

@@ -1,7 +1,8 @@
-// Tests for the public MemXCT API: operator kernel equivalence and the
-// end-to-end Reconstructor pipeline.
+// Tests for the public MemXCT API: operator kernel equivalence, the
+// end-to-end Reconstructor pipeline, and the validate_config gate.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
 #include "phantom/datasets.hpp"
@@ -176,6 +177,63 @@ TEST(Reconstructor, RejectsWrongSinogramSize) {
   const Reconstructor recon(data.geometry, []{ Config c; c.iterations = 2; return c; }());
   const AlignedVector<real> wrong(13);
   EXPECT_THROW(recon.reconstruct(wrong), InvariantError);
+}
+
+// ---------------------------------------------------------------------------
+// validate_config: the single source of truth shared by the Reconstructor
+// and serve admission.
+
+TEST(ValidateConfig, DefaultConfigPasses) {
+  EXPECT_NO_THROW(core::validate_config(core::Config{}));
+}
+
+TEST(ValidateConfig, ScalarRangeChecks) {
+  core::Config config;
+  config.num_shards = 0;
+  EXPECT_THROW(core::validate_config(config), InvalidArgument);
+  config = core::Config{};
+  config.num_shards = -1;
+  EXPECT_THROW(core::validate_config(config), InvalidArgument);
+  // Buffer sizes outside partsize >= 1, 1 <= buffsize <= 65536.
+  for (const sparse::BufferConfig buffer :
+       {sparse::BufferConfig{0, 4096}, sparse::BufferConfig{-4, 4096},
+        sparse::BufferConfig{128, 0}, sparse::BufferConfig{128, 65537},
+        sparse::BufferConfig{128, 70000}}) {
+    config = core::Config{};
+    config.buffer = buffer;
+    EXPECT_THROW(core::validate_config(config), InvalidArgument)
+        << buffer.partsize << "/" << buffer.buffsize;
+  }
+  config = core::Config{};
+  config.buffer = {1, 65536};
+  EXPECT_NO_THROW(core::validate_config(config));
+}
+
+TEST(ValidateConfig, PairwiseConflictsNameTheFlags) {
+  {
+    core::Config config;
+    config.shard_exchange = shard::Exchange::Reduce;
+    config.kernel = core::KernelKind::EllBlock;
+    try {
+      core::validate_config(config);
+      FAIL() << "expected UnsupportedConfigError";
+    } catch (const UnsupportedConfigError& e) {
+      EXPECT_EQ(e.flag_a(), "--shards");
+      EXPECT_EQ(e.flag_b(), "--kernel");
+    }
+  }
+  {
+    core::Config config;
+    config.kernel = core::KernelKind::EllBlock;
+    config.precision = sparse::ValueStorage::Fp16;
+    try {
+      core::validate_config(config);
+      FAIL() << "expected UnsupportedConfigError";
+    } catch (const UnsupportedConfigError& e) {
+      EXPECT_EQ(e.flag_a(), "--kernel");
+      EXPECT_EQ(e.flag_b(), "--precision");
+    }
+  }
 }
 
 }  // namespace

@@ -556,6 +556,12 @@ TEST(UnsupportedConfig, ServeAdmissionRejectsConflictsBeforeQueueing) {
     EXPECT_EQ(err.flag_b(), "--precision");
   }
 
+  // An out-of-range scalar is a plain InvalidArgument, also at admission.
+  core::Config bad_buffsize = config;
+  bad_buffsize.buffer.buffsize = 70000;
+  EXPECT_THROW((void)server.submit(e.g, bad_buffsize, e.sino),
+               InvalidArgument);
+
   // Nothing entered the pipeline: no submissions, no rejections counted.
   const auto m = server.snapshot();
   EXPECT_EQ(m.submitted, 0);
