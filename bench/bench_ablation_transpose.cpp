@@ -1,5 +1,7 @@
 // Ablation: scan-based (order-preserving) vs atomic (order-randomizing)
-// sparse transposition — Section 3.5.1's preprocessing design choice.
+// sparse transposition — Section 3.5.1's preprocessing design choice —
+// plus the order-preserving transpose the operator build uses: the
+// backward buffered layout straight from the forward one, with no CSR A^T.
 //
 // Both produce a numerically correct A^T; the atomic variant destroys the
 // within-row entry ordering that the pseudo-Hilbert layout created, which
@@ -10,7 +12,7 @@
 #include "bench_util.hpp"
 #include "cachesim/spmv_trace.hpp"
 #include "io/table.hpp"
-#include "perf/timer.hpp"
+#include "sparse/buffered.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
 
@@ -20,12 +22,29 @@ int main() {
   std::printf("ADS2 analog: %d x %d\n", spec.angles, spec.channels);
   const auto a = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
 
-  perf::WallTimer t;
+  // Build time of each strategy, median and IQR over repeated builds, and
+  // the bytes it holds besides its input and its final result: a CSR A^T
+  // for the two CSR transposes (the buffered build then reads it), none for
+  // the buffered transpose.
+  const auto build_time = [](auto&& build) {
+    const std::vector<double> s = bench::time_samples(build, 5);
+    return io::TablePrinter::time_s(bench::quantile(s, 0.5)) + " (IQR " +
+           io::TablePrinter::time_s(bench::quantile(s, 0.75) -
+                                    bench::quantile(s, 0.25)) +
+           ")";
+  };
+  const std::string t_scan_build =
+      build_time([&] { (void)sparse::transpose(a); });
+  const std::string t_atomic_build =
+      build_time([&] { (void)sparse::transpose_atomic(a); });
   const auto scan = sparse::transpose(a);
-  const double t_scan_build = t.seconds();
-  t.reset();
   const auto atomic = sparse::transpose_atomic(a);
-  const double t_atomic_build = t.seconds();
+  const auto fwd = sparse::build_buffered(a, {128, 4096});
+  const std::string t_buffered_build =
+      build_time([&] { (void)sparse::transpose_buffered(fwd); });
+  const auto bwd = sparse::transpose_buffered(fwd);
+  const std::string csr_bytes =
+      io::TablePrinter::bytes(static_cast<double>(scan.regular_bytes()));
 
   AlignedVector<real> y(static_cast<std::size_t>(a.num_rows), 1.0f);
   AlignedVector<real> x(static_cast<std::size_t>(a.num_cols));
@@ -35,6 +54,8 @@ int main() {
   // numerically, only locality differs.
   const double t_atomic =
       bench::time_kernel([&] { sparse::spmv_csr(atomic, y, x); });
+  const double t_buffered =
+      bench::time_kernel([&] { sparse::spmv_buffered(bwd, y, x); });
 
   auto h1 = cachesim::knl_core_hierarchy();
   const double miss_scan =
@@ -45,9 +66,9 @@ int main() {
 
   io::TablePrinter table(
       "Ablation: transposition strategy (Section 3.5.1)");
-  table.header({"strategy", "build time", "backproj GFLOPS",
+  table.header({"strategy", "build time", "transient", "backproj GFLOPS",
                 "sim L2 miss (KNL core)", "rows sorted"});
-  table.row({"scan-based (MemXCT)", io::TablePrinter::time_s(t_scan_build),
+  table.row({"scan-based (MemXCT)", t_scan_build, csr_bytes,
              io::TablePrinter::num(sparse::csr_work(scan).gflops(t_scan), 2),
              io::TablePrinter::num(100.0 * miss_scan, 2) + "%", "yes"});
   bool sorted = true;
@@ -57,10 +78,15 @@ int main() {
         sorted = false;
         break;
       }
-  table.row({"atomic scatter", io::TablePrinter::time_s(t_atomic_build),
+  table.row({"atomic scatter", t_atomic_build, csr_bytes,
              io::TablePrinter::num(sparse::csr_work(atomic).gflops(t_atomic), 2),
              io::TablePrinter::num(100.0 * miss_atomic, 2) + "%",
              sorted ? "yes (1 thread)" : "no"});
+  table.row({"buffered, from the forward layout", t_buffered_build,
+             io::TablePrinter::bytes(0.0),
+             io::TablePrinter::num(sparse::buffered_work(bwd).gflops(t_buffered),
+                                   2),
+             "-", "yes"});
   table.print();
   table.write_csv("ablation_transpose.csv");
   std::printf(

@@ -4,6 +4,16 @@
 // alignment keeps those loads aligned and avoids false sharing between
 // per-thread output partitions.
 //
+// Large allocations (kHugePageBytes and up: the operator's streams, the
+// build's transient arrays, K-wide slice blocks) are rounded up to 2 MiB
+// in alignment and size and advised onto transparent huge pages
+// (madvise(MADV_HUGEPAGE), Linux only). A fault then maps 2 MiB instead of
+// 4 KiB, and a streamed array no longer depends on where 512 separate small
+// pages landed. The advice is best effort: with THP set to `never`, or
+// where madvise fails, the memory stays on small pages and nothing else
+// changes. The allocation itself still goes through aligned_alloc, so
+// sanitizers keep intercepting it.
+//
 // Construction contract: `AlignedVector<T> v(n)` and `v.resize(n)`
 // default-initialise trivial elements, i.e. leave them unwritten, so the
 // threads that fill a large build array are the first to touch its pages
@@ -22,6 +32,10 @@
 #include <new>
 #include <type_traits>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "common/types.hpp"
 
@@ -43,7 +57,22 @@ inline std::atomic<std::int64_t>& aligned_alloc_count() noexcept {
   return count;
 }
 
-/// Minimal allocator returning kCacheLineBytes-aligned memory.
+/// Size from which an AlignedAllocator allocation sits on huge pages.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// Asks the kernel to back [p, p + bytes) with transparent huge pages.
+/// Best effort: a failure (THP off, no madvise) leaves small pages.
+inline void advise_huge_pages(void* p, std::size_t bytes) noexcept {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  (void)::madvise(p, bytes, MADV_HUGEPAGE);
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
+
+/// Minimal allocator returning kCacheLineBytes-aligned memory, and
+/// kHugePageBytes-aligned, huge-page-advised memory for large requests.
 template <class T>
 class AlignedAllocator {
  public:
@@ -54,13 +83,16 @@ class AlignedAllocator {
   AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
-      throw std::bad_alloc();
-    const std::size_t bytes =
-        ((n * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes) *
-        kCacheLineBytes;
-    void* p = std::aligned_alloc(kCacheLineBytes, bytes);
+    constexpr auto kMaxBytes =
+        static_cast<std::size_t>(std::numeric_limits<std::ptrdiff_t>::max());
+    if (n > (kMaxBytes - kHugePageBytes) / sizeof(T)) throw std::bad_alloc();
+    const std::size_t size = n * sizeof(T);
+    const bool huge = size >= kHugePageBytes;
+    const std::size_t align = huge ? kHugePageBytes : kCacheLineBytes;
+    const std::size_t bytes = (size + align - 1) / align * align;
+    void* p = std::aligned_alloc(align, bytes);
     if (p == nullptr) throw std::bad_alloc();
+    if (huge) advise_huge_pages(p, bytes);
     aligned_alloc_count().fetch_add(1, std::memory_order_relaxed);
     return static_cast<T*>(p);
   }

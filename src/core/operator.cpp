@@ -90,29 +90,31 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
   s->num_rows = a.num_rows;
   s->num_cols = a.num_cols;
   s->nnz = a.nnz();
-  sparse::CsrMatrix at = sparse::transpose(a);
   switch (kind) {
     case KernelKind::Baseline:
-    case KernelKind::Library:
+    case KernelKind::Library: {
+      sparse::CsrMatrix at = sparse::transpose(a);
       s->regular_bytes = a.regular_bytes() + at.regular_bytes();
       s->csr_fwd = std::move(a);
       s->csr_bwd = std::move(at);
       break;
+    }
     case KernelKind::EllBlock:
       s->ell_fwd = sparse::to_ell_block(a, ell_block_rows);
-      s->ell_bwd = sparse::to_ell_block(at, ell_block_rows);
+      s->ell_bwd = sparse::to_ell_block(sparse::transpose(a), ell_block_rows);
       s->regular_bytes =
           (s->ell_fwd->padded_nnz() + s->ell_bwd->padded_nnz()) *
           static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
       break;
     case KernelKind::Buffered:
-      // Each staging CSR is released as soon as its direction is built, so
-      // the build never holds A, A^T and both built directions at once.
+      // A is released once the forward layout exists, and the backward
+      // layout is transposed from the forward one with no CSR A^T, so the
+      // build never holds more than two of A and the two layouts. Both
+      // directions are quantized last: the transpose reads fp32 values.
       s->buf_fwd = sparse::build_buffered(a, buffer);
       a = sparse::CsrMatrix{};
+      s->buf_bwd = sparse::transpose_buffered(*s->buf_fwd);
       sparse::quantize_values(*s->buf_fwd, precision);
-      s->buf_bwd = sparse::build_buffered(at, buffer);
-      at = sparse::CsrMatrix{};
       sparse::quantize_values(*s->buf_bwd, precision);
       s->regular_bytes = s->buf_fwd->bytes() + s->buf_bwd->bytes();
       break;

@@ -113,6 +113,7 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
       (static_cast<std::int64_t>(a.num_rows) + a.num_cols) *
       static_cast<std::int64_t>(sizeof(real));
 
+  phase.reset();
   if (is_sharded(config_)) {
     // Sharded path: per-shard slices of A and A^T with precomputed exchange
     // plans (shard/sharded_operator.hpp), their buffered blocks quantized
@@ -121,7 +122,6 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
     // them). Reduce cuts both domains at pseudo-Hilbert tile boundaries
     // like the paper; Duplicate cuts at kernel partitions for bitwise
     // parity with the serial operator.
-    phase.reset();
     shard::ShardedOperator::Options opt;
     opt.num_shards = config_.num_shards;
     opt.kernel = config_.kernel == KernelKind::Buffered
@@ -139,19 +139,17 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
           dist::partition_by_tiles(*tomo_order_, config_.num_shards), opt);
     else
       shard_op_ = std::make_unique<shard::ShardedOperator>(a, opt);
-    report_.partition_seconds = phase.seconds();
     report_.regular_bytes = shard_op_->bytes();
     active_op_ = shard_op_.get();
   } else {
-    // Steps 3-4: scan transposition and kernel-specific structures.
-    phase.reset();
+    // Steps 3-4: the kernel's forward and backward structures.
     serial_op_ = std::make_unique<MemXCTOperator>(
         std::move(a), config_.kernel, config_.buffer, config_.ell_block_rows,
         config_.schedule, config_.precision);
-    report_.transpose_seconds = phase.seconds();
     report_.regular_bytes = serial_op_->regular_bytes();
     active_op_ = serial_op_.get();
   }
+  report_.operator_build_seconds = phase.seconds();
   report_.total_seconds = total.seconds();
 }
 

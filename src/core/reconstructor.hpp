@@ -29,8 +29,11 @@ namespace memxct::core {
 struct PreprocessReport {
   double ordering_seconds = 0.0;
   double trace_seconds = 0.0;      ///< Ray tracing / matrix construction.
-  double transpose_seconds = 0.0;  ///< Includes derived-format builds.
-  double partition_seconds = 0.0;  ///< Sharded slice + plan construction.
+  double operator_build_seconds = 0.0;  ///< Operator construction from the
+                                        ///< traced matrix: the serial
+                                        ///< operator's layouts and plans, or
+                                        ///< the sharded operator's slices,
+                                        ///< layouts and exchange plans.
   double total_seconds = 0.0;
   nnz_t nnz = 0;
   std::int64_t regular_bytes = 0;    ///< Memoized matrix footprint.

@@ -1,5 +1,7 @@
 #include "sparse/buffered.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <numeric>
 #include <vector>
@@ -282,6 +284,258 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
 
   b.validate();
   return b;
+}
+
+namespace {
+
+/// Calls segment(r, q) and then entry(j, k) for the entries of forward rows
+/// in partitions [p0, p1), row by row in ascending order, each row's
+/// entries in ascending column c: k indexes a.ind/a.val, and column c is row
+/// j of backward partition q (c = q * partsize + j). A row's columns ascend
+/// across its stages (each stage holds the next chunk of the partition's
+/// sorted footprint, in slot order), so a row's entries of one backward
+/// partition are contiguous; segment runs once per (row, partition) pair,
+/// before its entries.
+template <class Segment, class Entry>
+void walk_forward(const BufferedMatrix& a, idx_t p0, idx_t p1,
+                  Segment&& segment, Entry&& entry) {
+  const idx_t partsize = a.config.partsize;
+  for (idx_t p = p0; p < p1; ++p) {
+    const idx_t r0 = p * partsize;
+    const idx_t rows = std::min(partsize, a.num_rows - r0);
+    const idx_t s0 = a.partdispl[static_cast<std::size_t>(p)];
+    const idx_t s1 = a.partdispl[static_cast<std::size_t>(p) + 1];
+    for (idx_t j = 0; j < rows; ++j) {
+      idx_t seg_begin = 0;
+      idx_t seg_end = 0;  // no segment open yet
+      for (idx_t s = s0; s < s1; ++s) {
+        const RowRun run = a.row_run(s, j);
+        const idx_t* const mp =
+            a.map.data() + a.stagedispl[static_cast<std::size_t>(s)];
+        for (idx_t e = 0; e < run.len; ++e) {
+          const nnz_t k = run.at(e);
+          const idx_t c = mp[a.ind[static_cast<std::size_t>(k)]];
+          if (c >= seg_end) {
+            const idx_t q = c / partsize;
+            seg_begin = q * partsize;
+            seg_end = seg_begin + partsize;
+            segment(r0 + j, q);
+          }
+          entry(c - seg_begin, k);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+BufferedMatrix transpose_buffered(const BufferedMatrix& a) {
+  MEMXCT_CHECK_MSG(a.storage == ValueStorage::Fp32,
+                   "transpose_buffered reads the fp32 forward layout");
+  BufferedMatrix t;
+  t.num_rows = a.num_cols;
+  t.num_cols = a.num_rows;
+  t.config = a.config;
+  const idx_t partsize = t.config.partsize;
+  const idx_t buffsize = t.config.buffsize;
+  const idx_t numparts = std::max<idx_t>(1, ceil_div(t.num_rows, partsize));
+  const idx_t groups = t.num_groups();
+  const idx_t fparts = a.num_partitions();
+  const auto fgroups = static_cast<std::size_t>(a.num_groups());
+
+  // Row j of any partition advances by its group's row count per entry.
+  std::vector<idx_t> stride(static_cast<std::size_t>(partsize));
+  for (idx_t j = 0; j < partsize; ++j)
+    stride[static_cast<std::size_t>(j)] = t.group_rows(j / kSliceRows);
+
+  // Per thread: `fp` holds, per backward partition, the thread's footprint
+  // count and then its first footprint position; `cell` holds, per backward
+  // (stage, row), the thread's entry count and then its next entry
+  // position in ind/val.
+  const int max_threads = omp_get_max_threads();
+  std::vector<std::vector<idx_t>> fp(static_cast<std::size_t>(max_threads));
+  std::vector<std::vector<nnz_t>> cell(static_cast<std::size_t>(max_threads));
+  std::vector<idx_t> bound(static_cast<std::size_t>(max_threads) + 1);
+#pragma omp parallel num_threads(max_threads)
+  {
+    const int nt = omp_get_num_threads();
+    const int tid = omp_get_thread_num();
+#pragma omp single
+    {
+      // Contiguous ranges of forward partitions with equal stored entries.
+      const auto entries_before = [&a, fgroups](idx_t p) {
+        return a.groupdispl[static_cast<std::size_t>(
+                                a.partdispl[static_cast<std::size_t>(p)]) *
+                            fgroups];
+      };
+      const nnz_t total = entries_before(fparts);
+      idx_t p = 0;
+      for (int i = 0; i < nt; ++i) {
+        while (p < fparts && entries_before(p) < total * i / nt) ++p;
+        bound[static_cast<std::size_t>(i)] = p;
+      }
+      bound[static_cast<std::size_t>(nt)] = fparts;
+    }
+    const idx_t p0 = bound[static_cast<std::size_t>(tid)];
+    const idx_t p1 = bound[static_cast<std::size_t>(tid) + 1];
+    auto& my_fp = fp[static_cast<std::size_t>(tid)];
+    auto& my_cell = cell[static_cast<std::size_t>(tid)];
+
+    // Walk 1: how many of the thread's rays each backward partition sees.
+    my_fp.assign(static_cast<std::size_t>(numparts), 0);
+    walk_forward(
+        a, p0, p1,
+        [&my_fp](idx_t, idx_t q) { ++my_fp[static_cast<std::size_t>(q)]; },
+        [](idx_t, nnz_t) {});
+#pragma omp barrier
+
+    // Footprints, stages and map: partition q's footprint lists thread 0's
+    // rays, then thread 1's, ..., each ascending, so it is sorted.
+#pragma omp single
+    {
+      t.partdispl.resize(static_cast<std::size_t>(numparts) + 1);
+      t.partdispl[0] = 0;
+      t.stagedispl.assign(1, 0);
+      t.stagenz.clear();
+      for (idx_t q = 0; q < numparts; ++q) {
+        idx_t pos = 0;
+        for (int i = 0; i < nt; ++i) {
+          idx_t& at = fp[static_cast<std::size_t>(i)][static_cast<std::size_t>(q)];
+          const idx_t count = at;
+          at = pos;
+          pos += count;
+        }
+        const idx_t stages = std::max<idx_t>(1, ceil_div(pos, buffsize));
+        t.partdispl[static_cast<std::size_t>(q) + 1] =
+            t.partdispl[static_cast<std::size_t>(q)] + stages;
+        for (idx_t s = 0; s < stages; ++s) {
+          const idx_t nz = std::min(buffsize, pos - s * buffsize);
+          t.stagenz.push_back(std::max<idx_t>(0, nz));
+          t.stagedispl.push_back(t.stagedispl.back() + t.stagenz.back());
+        }
+      }
+      t.map.resize(static_cast<std::size_t>(t.stagedispl.back()));
+      t.rowlen.resize(static_cast<std::size_t>(t.num_stages()) * partsize);
+    }
+
+    // Walk 2: place each ray in its partitions' footprints and count the
+    // entries of each backward (stage, row).
+    std::vector<idx_t> next = my_fp;  // next footprint position
+    my_cell.assign(t.rowlen.size(), 0);
+    {
+      nnz_t* cells = nullptr;  // the segment's stage, indexed by row
+      walk_forward(
+          a, p0, p1,
+          [&](idx_t r, idx_t q) {
+            const idx_t pos = next[static_cast<std::size_t>(q)]++;
+            const idx_t stage0 = t.partdispl[static_cast<std::size_t>(q)];
+            t.map[static_cast<std::size_t>(
+                t.stagedispl[static_cast<std::size_t>(stage0)] + pos)] = r;
+            cells = my_cell.data() +
+                    static_cast<std::size_t>(stage0 + pos / buffsize) *
+                        static_cast<std::size_t>(partsize);
+          },
+          [&cells](idx_t j, nnz_t) { ++cells[j]; });
+    }
+#pragma omp barrier
+
+    // Row lengths are the threads' counts summed; then every group is as
+    // wide as its longest row.
+    const auto num_cells = static_cast<std::ptrdiff_t>(t.rowlen.size());
+#pragma omp for schedule(static)
+    for (std::ptrdiff_t c = 0; c < num_cells; ++c) {
+      nnz_t len = 0;
+      for (int i = 0; i < nt; ++i)
+        len += cell[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)];
+      t.rowlen[static_cast<std::size_t>(c)] = static_cast<idx_t>(len);
+    }
+#pragma omp single
+    {
+      const idx_t stages = t.num_stages();
+      t.groupdispl.resize(static_cast<std::size_t>(stages) * groups + 1);
+      t.groupdispl[0] = 0;
+      for (idx_t s = 0; s < stages; ++s)
+        for (idx_t g = 0; g < groups; ++g) {
+          const idx_t* const len = t.rowlen.data() +
+                                   static_cast<std::size_t>(s) * partsize +
+                                   g * kSliceRows;
+          const idx_t rows = t.group_rows(g);
+          const auto at = static_cast<std::size_t>(s) * groups + g;
+          t.groupdispl[at + 1] =
+              t.groupdispl[at] +
+              static_cast<nnz_t>(*std::max_element(len, len + rows)) * rows;
+        }
+      t.ind.resize(static_cast<std::size_t>(t.groupdispl.back()));
+      t.val.resize(static_cast<std::size_t>(t.groupdispl.back()));
+    }
+
+    // Entry e of row j in a (stage, group) cell sits at groupdispl + e *
+    // rows + (j mod kSliceRows); thread i's entries of the row follow
+    // threads 0..i-1's, so each count becomes that thread's first position.
+#pragma omp for schedule(static)
+    for (std::ptrdiff_t c = 0; c < num_cells; ++c) {
+      const auto s = static_cast<std::size_t>(c / partsize);
+      const auto j = static_cast<idx_t>(c % partsize);
+      const idx_t g = j / kSliceRows;
+      nnz_t pos = t.groupdispl[s * groups + static_cast<std::size_t>(g)] +
+                  (j - g * kSliceRows);
+      for (int i = 0; i < nt; ++i) {
+        nnz_t& at =
+            cell[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)];
+        const nnz_t count = at;
+        at = pos;
+        pos += count * stride[static_cast<std::size_t>(j)];
+      }
+    }
+
+    // Walk 3: place every entry; its buffer slot is the ray's position
+    // within the stage.
+    next = my_fp;
+    {
+      nnz_t* cells = nullptr;
+      buf_idx_t slot = 0;
+      walk_forward(
+          a, p0, p1,
+          [&](idx_t, idx_t q) {
+            const idx_t pos = next[static_cast<std::size_t>(q)]++;
+            slot = static_cast<buf_idx_t>(pos % buffsize);
+            cells = my_cell.data() +
+                    static_cast<std::size_t>(
+                        t.partdispl[static_cast<std::size_t>(q)] +
+                        pos / buffsize) *
+                        static_cast<std::size_t>(partsize);
+          },
+          [&](idx_t j, nnz_t k) {
+            nnz_t& at = cells[j];
+            t.ind[static_cast<std::size_t>(at)] = slot;
+            t.val[static_cast<std::size_t>(at)] =
+                a.val[static_cast<std::size_t>(k)];
+            at += stride[static_cast<std::size_t>(j)];
+          });
+    }
+
+    // Pads: every (stage, row) entry past the row's length is slot 0,
+    // value 0. Disjoint from the entries, so no barrier is needed first.
+#pragma omp for schedule(static)
+    for (std::ptrdiff_t c = 0; c < num_cells; ++c) {
+      const auto s = static_cast<std::size_t>(c / partsize);
+      const auto j = static_cast<idx_t>(c % partsize);
+      const idx_t g = j / kSliceRows;
+      const auto at = s * groups + static_cast<std::size_t>(g);
+      const nnz_t rows = stride[static_cast<std::size_t>(j)];
+      const nnz_t end = t.groupdispl[at + 1];
+      for (nnz_t pos = t.groupdispl[at] + (j - g * kSliceRows) +
+                       rows * t.rowlen[static_cast<std::size_t>(c)];
+           pos < end; pos += rows) {
+        t.ind[static_cast<std::size_t>(pos)] = 0;
+        t.val[static_cast<std::size_t>(pos)] = 0;
+      }
+    }
+  }
+
+  t.validate();
+  return t;
 }
 
 void quantize_values(BufferedMatrix& m, ValueStorage storage) {

@@ -145,6 +145,20 @@ struct BufferedMatrix {
 [[nodiscard]] BufferedMatrix build_buffered(const CsrMatrix& a,
                                             const BufferConfig& config = {});
 
+/// Builds the backward (transposed) matrix straight from an fp32 forward
+/// one, byte for byte build_buffered(transpose(A), fwd.config) where
+/// fwd == build_buffered(A, config), without materialising a CSR A^T: the
+/// build holds only fwd and its result (Section 3.5.1's order-preserving
+/// transposition, applied to the staged layout). Three walks over the
+/// forward rows, each thread on a contiguous, entry-balanced range of
+/// forward partitions, ascending: count each backward partition's
+/// footprint; place each ray into its partitions' sorted footprints (map)
+/// and count entries per backward (stage, row); place the entries through
+/// per-thread cursors. Lower threads own lower positions of every
+/// footprint and every row, so the output is the same under any thread
+/// count. OpenMP-parallel.
+[[nodiscard]] BufferedMatrix transpose_buffered(const BufferedMatrix& fwd);
+
 /// Re-stores an fp32 matrix's values as `storage`: one round-to-nearest-even
 /// pass from val into val16, which then replaces val. Every kernel
 /// multiplies by the decoded 16-bit value and is otherwise unchanged. No-op

@@ -45,7 +45,8 @@ namespace memxct::sparse::detail {
 
 static_assert(kSliceRows == 16, "group_k1 maps one group onto one zmm");
 
-#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
+    defined(__F16C__)
 #define MEMXCT_BUFFERED_AVX512 1
 #endif
 
@@ -53,8 +54,8 @@ static_assert(kSliceRows == 16, "group_k1 maps one group onto one zmm");
 // `scalar` decodes one value and `load` (AVX-512 only) the masked lanes of
 // one row group. Every decode is exact: fp32 is a plain load, bf16 is the
 // top half of an fp32 (widen, shift left 16), and fp16 converts in
-// hardware (vcvtph2ps), so each product uses exactly the value the scalar
-// decoders of sparse/precision.hpp return.
+// hardware (vcvtph2ps, and vcvtsh2ss for one value), so each product uses
+// exactly the value the scalar decoders of sparse/precision.hpp return.
 struct DecodeFp32 {
   using Stored = real;
   static const Stored* values(const BufferedMatrix& a) noexcept {
@@ -89,7 +90,13 @@ struct DecodeFp16 {
   static const Stored* values(const BufferedMatrix& a) noexcept {
     return a.val16.data();
   }
+#if MEMXCT_BUFFERED_AVX512
+  // F16C's vcvtsh2ss: one instruction per value in the K > 1 lane body,
+  // instead of the branchy portable decoder.
+  static real scalar(Stored v) noexcept { return _cvtsh_ss(v); }
+#else
   static real scalar(Stored v) noexcept { return fp16_to_fp32(v); }
+#endif
 #if MEMXCT_BUFFERED_AVX512
   static __m512 load(__mmask16 live, const Stored* p) noexcept {
     return _mm512_maskz_cvtph_ps(live, _mm256_maskz_loadu_epi16(live, p));

@@ -295,6 +295,88 @@ TEST(BufferedBuild, MatchesSortAndSearchReferenceBitwise) {
   omp_set_num_threads(saved);
 }
 
+/// Every array of two buffered matrices, byte for byte.
+void expect_same_bytes(const BufferedMatrix& got, const BufferedMatrix& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.storage, want.storage) << where;
+  EXPECT_TRUE(testutil::same_bytes(got.groupdispl, want.groupdispl))
+      << "groupdispl, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.rowlen, want.rowlen))
+      << "rowlen, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind)) << "ind, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.val, want.val)) << "val, " << where;
+  EXPECT_TRUE(testutil::same_bytes(got.val16, want.val16))
+      << "val16, " << where;
+}
+
+TEST(BufferedBuild, TransposeMatchesBuildOfCsrTransposeBitwise) {
+  const CsrMatrix traced = hilbert_projection_matrix(48, 32);
+  const struct {
+    const char* name;
+    CsrMatrix a;
+  } matrices[] = {
+      {"random", testutil::random_csr(300, 200, 0.05, 61)},
+      // Rows 40..103 of A are empty, so whole forward partitions are empty
+      // and those rays join no backward footprint; 301 rows and 150
+      // columns leave a ragged last partition in both directions.
+      {"random-empty-rows",
+       random_csr_with_empty_rows(301, 150, 0.08, 40, 104, 62)},
+      {"empty", testutil::random_csr(37, 20, 0.0, 63)},
+      {"hilbert-forward", traced},
+      {"hilbert-transpose", transpose(traced)},
+  };
+  const BufferConfig configs[] = {
+      {128, 4096}, {64, 256}, {32, 64}, {16, 7}, {7, 3}, {1, 1}, {300, 65536},
+  };
+  const int saved = omp_get_max_threads();
+  for (const auto& m : matrices) {
+    const CsrMatrix at = transpose(m.a);
+    for (const auto& config : configs) {
+      const BufferedMatrix want = build_buffered(at, config);
+      const auto want_runs =
+          testutil::build_buffered_sort_and_search(at, config);
+      for (const int threads : {1, 3}) {
+        omp_set_num_threads(threads);
+        const std::string where =
+            std::string(m.name) + " partsize=" +
+            std::to_string(config.partsize) +
+            " buffsize=" + std::to_string(config.buffsize) +
+            " threads=" + std::to_string(threads);
+        const BufferedMatrix got =
+            transpose_buffered(build_buffered(m.a, config));
+        expect_layout_matches(got, want_runs, where);
+        expect_same_bytes(got, want, where);
+      }
+    }
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(BufferedBuild, QuantizingTheTransposedLayoutMatchesTheOldOrder) {
+  // The operator used to quantize build_buffered(transpose(A)); it now
+  // quantizes transpose_buffered of the fp32 forward layout.
+  const CsrMatrix a = hilbert_projection_matrix(48, 32);
+  const CsrMatrix at = transpose(a);
+  for (const ValueStorage storage : {ValueStorage::Bf16, ValueStorage::Fp16})
+    for (const BufferConfig config :
+         {BufferConfig{128, 4096}, BufferConfig{16, 7}}) {
+      BufferedMatrix want = build_buffered(at, config);
+      quantize_values(want, storage);
+      BufferedMatrix got = transpose_buffered(build_buffered(a, config));
+      quantize_values(got, storage);
+      expect_same_bytes(got, want,
+                        std::string(to_string(storage)) + " partsize=" +
+                            std::to_string(config.partsize));
+    }
+}
+
+TEST(BufferedBuild, TransposeRejectsReducedPrecisionInput) {
+  BufferedMatrix fwd =
+      build_buffered(testutil::random_csr(40, 30, 0.2, 64), {16, 8});
+  quantize_values(fwd, ValueStorage::Bf16);
+  EXPECT_THROW((void)transpose_buffered(fwd), InvariantError);
+}
+
 // ---- kernel parity with the row-order scalar kernel ---------------------
 
 /// x values that stress the masked-lane argument: a finite random vector,
@@ -675,35 +757,39 @@ TEST(BufferedParity, ReducedPrecisionShardLocalKernelMatchesRowOrderKernelBitwis
   }
 }
 
-/// Decodes all 65,536 bit patterns through Decode — on an AVX-512 build the
-/// masked SIMD load the K = 1 body uses, elsewhere the scalar decode the
-/// portable body uses — and checks them against the scalar decoder of
-/// sparse/precision.hpp: bitwise on every pattern the encoder can emit
-/// (those it maps back to themselves), and NaN for NaN on the rest (the
-/// hardware quietens signalling fp16 NaNs, which the encoder never emits).
+/// Decodes all 65,536 bit patterns through Decode — its one-value decode
+/// (the K > 1 lane body's; on an AVX-512 build F16C's for fp16) and, on an
+/// AVX-512 build, the masked SIMD load the K = 1 body uses — and checks
+/// them against the scalar decoder of sparse/precision.hpp: bitwise on
+/// every pattern the encoder can emit (those it maps back to themselves),
+/// and NaN for NaN on the rest (the hardware quietens signalling fp16 NaNs,
+/// which the encoder never emits).
 template <class Decode>
 void expect_decoder_matches(real (*scalar)(std::uint16_t),
                             std::uint16_t (*encode)(float)) {
   alignas(64) std::uint16_t bits[kSliceRows];
   alignas(64) real got[kSliceRows];
-  for (std::uint32_t base = 0; base < 0x10000u; base += kSliceRows) {
-    for (idx_t r = 0; r < kSliceRows; ++r)
-      bits[r] = static_cast<std::uint16_t>(base + static_cast<std::uint32_t>(r));
-#if MEMXCT_BUFFERED_AVX512
-    _mm512_storeu_ps(got, Decode::load(static_cast<__mmask16>(0xffff), bits));
-#else
-    for (idx_t r = 0; r < kSliceRows; ++r) got[r] = Decode::scalar(bits[r]);
-#endif
+  const auto check = [&](const char* path) {
     for (idx_t r = 0; r < kSliceRows; ++r) {
       const real want = scalar(bits[r]);
       if (encode(want) == bits[r])
         EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
                   std::bit_cast<std::uint32_t>(want))
-            << "pattern 0x" << std::hex << bits[r];
+            << path << ", pattern 0x" << std::hex << bits[r];
       else
         EXPECT_TRUE(std::isnan(got[r]) && std::isnan(want))
-            << "pattern 0x" << std::hex << bits[r];
+            << path << ", pattern 0x" << std::hex << bits[r];
     }
+  };
+  for (std::uint32_t base = 0; base < 0x10000u; base += kSliceRows) {
+    for (idx_t r = 0; r < kSliceRows; ++r)
+      bits[r] = static_cast<std::uint16_t>(base + static_cast<std::uint32_t>(r));
+    for (idx_t r = 0; r < kSliceRows; ++r) got[r] = Decode::scalar(bits[r]);
+    check("one value");
+#if MEMXCT_BUFFERED_AVX512
+    _mm512_storeu_ps(got, Decode::load(static_cast<__mmask16>(0xffff), bits));
+    check("masked load");
+#endif
   }
 }
 

@@ -77,6 +77,35 @@ TEST(Aligned, VectorIsCacheLineAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % kCacheLineBytes, 0u);
 }
 
+TEST(Aligned, LargeVectorsSitOnHugePageBoundaries) {
+  const std::int64_t before = aligned_alloc_count().load();
+  const std::size_t large = kHugePageBytes / sizeof(float);  // exactly 2 MiB
+  AlignedVector<float> big(large + 3);
+  AlignedVector<float> at_threshold(large);
+  AlignedVector<float> small(large / 2);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % kHugePageBytes, 0u);
+  EXPECT_EQ(
+      reinterpret_cast<std::uintptr_t>(at_threshold.data()) % kHugePageBytes,
+      0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data()) % kCacheLineBytes,
+            0u);
+  EXPECT_EQ(aligned_alloc_count().load() - before, 3);
+  // Count-only construction still leaves the elements unwritten, or 0xFF
+  // under AddressSanitizer, on huge pages as on small ones.
+  if constexpr (kPoisonDefaultInit) {
+    for (const AlignedVector<float>* v : {&big, &at_threshold, &small}) {
+      const auto* bytes = reinterpret_cast<const unsigned char*>(v->data());
+      const std::size_t n = v->size() * sizeof(float);
+      EXPECT_TRUE(std::all_of(bytes, bytes + n,
+                              [](unsigned char b) { return b == 0xFF; }));
+    }
+  }
+  // The advice changes where pages come from, never what they hold.
+  AlignedVector<std::int32_t> zeros(large, 0);
+  EXPECT_TRUE(std::all_of(zeros.begin(), zeros.end(),
+                          [](std::int32_t v) { return v == 0; }));
+}
+
 TEST(Rng, DeterministicBySeed) {
   Rng a(42), b(42), c(43);
   bool any_diff = false;
